@@ -2,10 +2,11 @@
 //! shared quantum schedule, arbitrating one machine-level power budget.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use exec::ExecPool;
-use heartbeats::{observe_fleet, HeartbeatMonitor, MonitorObservation};
+use heartbeats::{HeartbeatMonitor, MonitorObservation};
 use obs::{Counter, Event, EventKind, Recorder, Stage, StageClock};
 use seec::{CapDecision, SeecError, SeecRuntime};
 use workloads::{HeartbeatedWorkload, QuantumDemand};
@@ -528,84 +529,23 @@ fn aggregate_requests(requests: &[AppRequest]) -> AppRequest {
     }
 }
 
-/// Runs the decide stage over one contiguous fleet chunk: records the award
-/// on every app and lets each *present* app decide under its envelope.
-/// Returns the chunk-local index and error of the first failing decision;
-/// earlier apps in the chunk keep the decisions already applied.
+/// The decide stage for one participant: records the award on the app
+/// and, when the app is present, decides it under the envelope.
 ///
-/// With a `dirty` mask (the incremental path), clean apps skip the whole
-/// decide quantum — their held award and previous decision stand — and are
-/// counted [`Counter::AppsSkipped`]; dirty apps decide and are counted
-/// [`Counter::AppsRearbitrated`]. Without a mask (the full path) every
-/// present app decides and is counted [`Counter::AppsDecided`], so
-/// `skipped + rearbitrated + decided` sums to quanta × active fleet on
-/// either path.
-fn decide_chunk(
-    apps: &mut [ManagedApp],
-    observations: &[MonitorObservation],
-    awards: &[f64],
-    dirty: Option<&[bool]>,
-    now: f64,
-    quantum: usize,
-    observer: Option<&Recorder>,
-) -> Result<(), (usize, SeecError)> {
-    for (offset, ((app, observation), &award)) in
-        apps.iter_mut().zip(observations).zip(awards).enumerate()
-    {
-        let dirty = dirty.map(|dirty| dirty[offset]);
-        decide_one(app, observation, award, dirty, now, quantum, observer)
-            .map_err(|err| (offset, err))?;
-    }
-    Ok(())
-}
-
-/// Runs the decide stage over the slots named by `list` — ascending global
-/// indices, all within `base..base + apps.len()` — the wake-scheduled
-/// decide walk. Sleeping slots never appear in the list: their held award
-/// and previous decision stand untouched (`awarded_watts` still carries the
-/// award from the quantum they last decided or skipped, bit-equal to the
-/// engine's held row), and the step counts them [`Counter::AppsSlept`] once
-/// from the arbitration outcome instead of per slot here. The `dirty` mask
-/// chunk, when present, is indexed chunk-relative like the data slices.
-/// Returns the *global* index and error of the first failing decision.
-#[allow(clippy::too_many_arguments)] // the decide stage's full slice set, mirroring decide_chunk
-fn decide_list(
-    list: &[u32],
-    base: usize,
-    apps: &mut [ManagedApp],
-    observations: &[MonitorObservation],
-    awards: &[f64],
-    dirty: Option<&[bool]>,
-    now: f64,
-    quantum: usize,
-    observer: Option<&Recorder>,
-) -> Result<(), (usize, SeecError)> {
-    for &index in list {
-        let offset = index as usize - base;
-        let dirty = dirty.map(|dirty| dirty[offset]);
-        decide_one(
-            &mut apps[offset],
-            &observations[offset],
-            awards[offset],
-            dirty,
-            now,
-            quantum,
-            observer,
-        )
-        .map_err(|err| (index as usize, err))?;
-    }
-    Ok(())
-}
-
-/// The single-slot decide body shared by [`decide_chunk`] (contiguous
-/// ranges, the always-awake walk) and [`decide_list`] (awake lists, the
-/// wake-scheduled walk): records the award on the app and, when the app is
-/// present and not masked clean, decides it under the envelope.
+/// A clean slot (`dirty == false`, possible only at a positive tolerance)
+/// skips the whole decide quantum — its held award and previous decision
+/// stand — and is counted [`Counter::AppsSkipped`]. A decision is counted
+/// under `booking`: [`Counter::AppsDecided`] at tolerance 0,
+/// [`Counter::AppsRearbitrated`] at a positive tolerance. Together with
+/// the step's [`Counter::AppsSlept`], the ledger partitions every active
+/// app-quantum exactly once.
+#[allow(clippy::too_many_arguments)] // one slot's full decide input
 fn decide_one(
     app: &mut ManagedApp,
     observation: &MonitorObservation,
     award: f64,
-    dirty: Option<bool>,
+    dirty: bool,
+    booking: Counter,
     now: f64,
     quantum: usize,
     observer: Option<&Recorder>,
@@ -614,7 +554,7 @@ fn decide_one(
     if !app.active_at(quantum) {
         return Ok(());
     }
-    if dirty == Some(false) {
+    if !dirty {
         if let Some(observer) = observer {
             observer.count(Counter::AppsSkipped);
         }
@@ -630,22 +570,115 @@ fn decide_one(
     // from pool workers keeps the bucket counts deterministic; only the
     // wall-clock values vary.
     let clock = observer.map(|_| StageClock::start());
-    match app
-        .runtime
-        .decide_under_power_cap_with_observation(now, observation, max_powerup)
-    {
-        Ok(decision) => app.last_decision = Some(decision),
-        Err(err) => return Err(err),
-    }
+    app.last_decision = Some(app.runtime.decide_under_power_cap_with_observation(
+        now,
+        observation,
+        max_powerup,
+    )?);
     if let (Some(observer), Some(clock)) = (observer, clock) {
-        observer.count(if dirty.is_some() {
-            Counter::AppsRearbitrated
-        } else {
-            Counter::AppsDecided
-        });
+        observer.count(booking);
         observer.time(Stage::Decision, clock.total());
     }
     Ok(())
+}
+
+/// One contiguous range of the fleet columns, starting at global slot
+/// `base`, plus the sub-slice of the participant list that falls inside it.
+struct Shard<'a, E> {
+    base: usize,
+    apps: &'a mut [ManagedApp],
+    observations: &'a mut [MonitorObservation],
+    requests: &'a mut [AppRequest],
+    list: &'a [u32],
+    failure: Option<E>,
+}
+
+impl<E> Shard<'_, E> {
+    /// Visits the shard's listed slots in ascending order, stopping at the
+    /// first failure.
+    fn run<F>(&mut self, visit: &F)
+    where
+        F: Fn(usize, &mut ManagedApp, &mut MonitorObservation, &mut AppRequest) -> Result<(), E>,
+    {
+        for &index in self.list {
+            let index = index as usize;
+            let offset = index - self.base;
+            let visited = visit(
+                index,
+                &mut self.apps[offset],
+                &mut self.observations[offset],
+                &mut self.requests[offset],
+            );
+            if let Err(err) = visited {
+                self.failure = Some(err);
+                return;
+            }
+        }
+    }
+}
+
+/// The step's one sharding helper: runs `visit(global index, app,
+/// observation, request)` on every slot named by `list` (ascending global
+/// indices). With a pool, the fleet columns are cut into contiguous
+/// `shard`-sized `&mut` ranges — exclusive chunks need `ManagedApp: Send`
+/// rather than `Sync`, which boxed actuators do not promise — and each
+/// range gets the matching sub-slice of `list`, one pool task per range.
+/// Without one, the whole fleet is a single shard run inline.
+///
+/// Returns the failure of the lowest-indexed failing slot. Slots visited
+/// before a failure keep their effects — with a pool that may include
+/// slots at higher indices than the failing one.
+fn for_each_listed<E, F>(
+    pool: Option<&ExecPool>,
+    shard: usize,
+    list: &[u32],
+    apps: &mut [ManagedApp],
+    observations: &mut [MonitorObservation],
+    requests: &mut [AppRequest],
+    visit: F,
+) -> Result<(), E>
+where
+    E: Send,
+    F: Fn(usize, &mut ManagedApp, &mut MonitorObservation, &mut AppRequest) -> Result<(), E> + Sync,
+{
+    let Some(pool) = pool else {
+        let mut whole = Shard {
+            base: 0,
+            apps,
+            observations,
+            requests,
+            list,
+            failure: None,
+        };
+        whole.run(&visit);
+        return whole.failure.map_or(Ok(()), Err);
+    };
+    let mut shards: Vec<Shard<E>> = apps
+        .chunks_mut(shard)
+        .zip(observations.chunks_mut(shard))
+        .zip(requests.chunks_mut(shard))
+        .enumerate()
+        .map(|(chunk, ((apps, observations), requests))| {
+            let base = chunk * shard;
+            let lo = list.partition_point(|&index| (index as usize) < base);
+            let hi = list.partition_point(|&index| (index as usize) < base + apps.len());
+            Shard {
+                base,
+                apps,
+                observations,
+                requests,
+                list: &list[lo..hi],
+                failure: None,
+            }
+        })
+        .collect();
+    pool.for_each_mut(&mut shards, |_, task| task.run(&visit));
+    // Shards cover ascending index ranges, so the first failing shard
+    // holds the lowest-indexed failure — the sequential walk's choice.
+    shards
+        .into_iter()
+        .find_map(|task| task.failure)
+        .map_or(Ok(()), Err)
 }
 
 /// Hot per-application state the step loop streams over every quantum, in
@@ -665,38 +698,41 @@ struct FleetHot {
     /// last step — the event that re-enrolls a steady app into observation
     /// on the incremental schedule.
     fresh: Vec<bool>,
-    /// Per-step scratch: which slots skip re-observation this quantum
-    /// (empty = observe everything).
-    skip_observe: Vec<bool>,
-    /// Wake-scheduled rounds only: the quantum's participant list —
-    /// ascending slot indices awake this round, copied from the engine at
-    /// round open (and refreshed after arbitration, which may merge
-    /// mid-round wakes). Every per-app stage iterates this list instead of
-    /// the fleet; sleeping slots appear in no stage at all.
-    awake: Vec<u32>,
-    /// Wake-scheduled rounds only: the subset of `awake` that needs a
-    /// fresh snapshot this quantum. Awake slots that are steady, have no
-    /// fresh report, and whose schedule presence is unchanged keep their
-    /// buffered observation and request (the same skip rule the mask path
-    /// applies fleet-wide, pre-filtered into a compact list).
+    /// Per-step scratch: the participants that need a fresh snapshot this
+    /// quantum. Participants that are steady, have no fresh report, and
+    /// whose schedule presence is unchanged keep their buffered
+    /// observation and request.
     observe_list: Vec<u32>,
 }
 
 /// Runs many applications' ODA loops on one shared quantum schedule and
 /// arbitrates a machine-level power budget across them.
 ///
-/// Per [`Coordinator::step`]:
+/// Every [`Coordinator::step`] runs one pipeline over the round's
+/// **participant list** — every registered slot, unless the wake scheduler
+/// ([`Coordinator::with_wake_schedule`]) has put some to sleep:
 ///
-/// 1. **Observe** — every app's monitor is snapshotted in one pass
-///    ([`observe_fleet`]), one lock acquisition per app.
-/// 2. **Arbitrate** — the [`ArbitrationPolicy`] splits the budget into
-///    per-app watt envelopes from each app's priority weight and
-///    heartbeat-gap urgency.
-/// 3. **Decide** — each present app's [`SeecRuntime`] decides *under its
-///    envelope* ([`SeecRuntime::decide_under_power_cap_with_observation`]):
-///    the envelope in watts becomes a powerup cap via the app's
-///    nominal-power estimate, clamping the admissible configuration set to
-///    the prefix of the model's power-sorted index.
+/// 1. **Round open** — presence flips due this quantum wake their slots,
+///    then the [`IncrementalArbiter`] fixes the participant list.
+/// 2. **Observe** — each participant that needs it has its monitor
+///    snapshotted (one lock acquisition per app) and its [`AppRequest`]
+///    rebuilt. A steady participant with no fresh report and unchanged
+///    presence keeps its buffered row.
+/// 3. **Watchdog** — the optional degradation ladder
+///    ([`Coordinator::with_watchdog`]) may pin quarantined requests.
+/// 4. **Arbitrate** — the engine splits the budget into per-app watt
+///    envelopes through the [`ArbitrationPolicy`], from each app's priority
+///    weight and heartbeat-gap urgency. At tolerance 0 (the default) that
+///    is the full fold every quantum; at a positive tolerance
+///    ([`Coordinator::with_arbitration_tolerance`]) only the dirty set
+///    re-enters it.
+/// 5. **Decide** — each present, dirty participant's [`SeecRuntime`]
+///    decides *under its envelope*
+///    ([`SeecRuntime::decide_under_power_cap_with_observation`]): the
+///    envelope in watts becomes a powerup cap via the app's nominal-power
+///    estimate, clamping the admissible configuration set to the prefix of
+///    the model's power-sorted index.
+/// 6. **Summarise** — the step summary is folded in registration order.
 ///
 /// The platform then runs a quantum in the chosen configurations and feeds
 /// completed work and measured power back through
@@ -704,19 +740,19 @@ struct FleetHot {
 ///
 /// # Sharding
 ///
-/// With [`Coordinator::with_workers`] above 1, the per-application stages —
-/// observe/request (1–2) and decide (3) — run on a **persistent**
-/// [`exec::ExecPool`] over contiguous fleet shards, while arbitration (the
-/// only stage that couples applications) stays a sequential fold over the
-/// full request list. The pool is created once (when the worker count is
-/// set) and reused across every quantum, so the steady-state step pays a
-/// wake-up instead of the per-step `std::thread::scope` spawn it replaced.
+/// With [`Coordinator::with_workers`] above 1, the per-application walks —
+/// observe (2) and decide (5) — run on a **persistent** [`exec::ExecPool`]
+/// over contiguous fleet shards, each taking the part of the participant
+/// list inside its range, while arbitration (the only stage that couples
+/// applications) stays a sequential fold over the full request list. The
+/// pool is created once (when the worker count is set) and reused across
+/// every quantum. Sequential running is the same walk over one shard.
 /// Because each application's observation, request, and decision are
 /// functions of *its own* state plus the arbitration output, and the
 /// arbitration input/output are identical regardless of how the fleet was
 /// partitioned, the sharded step is **bit-identical** to the sequential one
-/// at every worker count (pinned by the property suite,
-/// `tests/lifecycle_props.rs`).
+/// at every worker count (pinned by the property suites,
+/// `tests/lifecycle_props.rs` and `tests/incremental_props.rs`).
 ///
 /// Sharding only engages once the registered fleet reaches
 /// [`Coordinator::shard_threshold`] applications (default
@@ -735,9 +771,6 @@ struct FleetHot {
 /// can step mid-run via [`Coordinator::set_budget`].
 pub struct Coordinator {
     apps: Vec<ManagedApp>,
-    /// Parallel monitor list for [`observe_fleet`] (clones of each app's
-    /// monitor — `Arc`s, so cheap).
-    monitors: Vec<HeartbeatMonitor>,
     policy: Box<dyn ArbitrationPolicy>,
     budget_watts: f64,
     headroom: f64,
@@ -757,28 +790,25 @@ pub struct Coordinator {
     /// Whether [`Self::try_register`] runs the admission feasibility
     /// pre-check (see [`Self::with_admission_feasibility`]).
     admission_feasibility: bool,
-    /// Incremental arbitration engine; `None` (the default) runs the full
-    /// arbitration fold every quantum, byte-identical to every earlier
-    /// build (see [`Self::with_arbitration_tolerance`]).
-    incremental: Option<IncrementalArbiter>,
-    /// Wake-scheduler configuration (see [`Self::with_wake_schedule`]).
-    /// Stored on the coordinator so re-creating the incremental engine
-    /// (a tolerance change) re-applies it; `None` — or a disabled config,
-    /// or no engine to ride on — leaves every quantum on the always-awake
-    /// path, byte-identical to a scheduler-free build.
-    wake: Option<WakeConfig>,
+    /// The arbitration engine: tolerance 0 (the default) is the full fold
+    /// every quantum (see [`Self::with_arbitration_tolerance`]).
+    engine: IncrementalArbiter,
+    /// Wake-scheduler configuration (see [`Self::with_wake_schedule`]),
+    /// kept so re-creating the engine (a tolerance change) re-applies it.
+    wake: WakeConfig,
     /// The wake calendar: quantum → slots whose `arrival` or `departure`
     /// falls there. Drained at the top of each step so a sleeping app is
     /// force-woken for the exact quantum its schedule presence flips.
-    /// Only maintained while wake scheduling is active.
+    /// Only maintained while the wake schedule is enabled.
     wake_calendar: BTreeMap<usize, Vec<u32>>,
     /// Struct-of-arrays hot state parallel to `apps` (see [`FleetHot`]).
     hot: FleetHot,
     /// Simulation time of the most recent step (timestamps admission-
     /// control decisions for mid-run registrations).
     last_now: f64,
-    // Reused per-step buffers: the steady-state sequential step allocates
-    // nothing (the pooled step allocates one small per-shard Vec).
+    // Reused per-step buffers, one row per registered slot: the
+    // steady-state sequential step allocates nothing (the pooled step
+    // allocates one small per-shard Vec per walk).
     observations: Vec<MonitorObservation>,
     requests: Vec<AppRequest>,
     awards: Vec<f64>,
@@ -821,7 +851,6 @@ impl Coordinator {
         assert!(budget_watts > 0.0, "power budget must be positive");
         Coordinator {
             apps: Vec::new(),
-            monitors: Vec::new(),
             policy,
             budget_watts,
             headroom: 0.95,
@@ -831,8 +860,8 @@ impl Coordinator {
             watchdog: None,
             admission_control: false,
             admission_feasibility: false,
-            incremental: None,
-            wake: None,
+            engine: IncrementalArbiter::new(0.0),
+            wake: WakeConfig::OFF,
             wake_calendar: BTreeMap::new(),
             hot: FleetHot::default(),
             last_now: 0.0,
@@ -1010,9 +1039,7 @@ impl Coordinator {
         self.watchdog = config;
         // New thresholds can rewrite quarantine requests differently, so
         // every held award re-enters the fold.
-        if let Some(engine) = self.incremental.as_mut() {
-            engine.mark_all_dirty();
-        }
+        self.engine.mark_all_dirty();
     }
 
     /// The active watchdog thresholds, if any.
@@ -1077,7 +1104,7 @@ impl Coordinator {
         self.admission_feasibility
     }
 
-    /// Enables **incremental arbitration** with the given tolerance:
+    /// Sets the **incremental arbitration** tolerance (default 0):
     /// each step re-arbitrates only the applications whose request moved
     /// by at least `tolerance` (largest relative field movement) since
     /// they were last arbitrated, plus everything the dirty set names —
@@ -1088,44 +1115,42 @@ impl Coordinator {
     /// too, paying nothing at all for the quantum.
     ///
     /// Tolerance `0.0` marks every app dirty every quantum, so the engine
-    /// degenerates to exactly the full fold — output is bit-identical to
-    /// a coordinator without the knob (pinned by
-    /// `tests/incremental_props.rs`) while still exercising the
-    /// incremental machinery.
+    /// runs exactly the full fold — bit-identical to the bare policy call
+    /// (pinned by `tests/incremental_props.rs`).
     ///
     /// # Panics
     ///
     /// Panics unless the tolerance is finite and non-negative.
     pub fn with_arbitration_tolerance(mut self, tolerance: f64) -> Self {
-        self.set_arbitration_tolerance(Some(tolerance));
+        self.set_arbitration_tolerance(tolerance);
         self
     }
 
-    /// Changes (or disables, with `None`) incremental arbitration mid-run
-    /// (see [`Self::with_arbitration_tolerance`]). Any change discards the
+    /// Changes the arbitration tolerance mid-run (see
+    /// [`Self::with_arbitration_tolerance`]). Any change discards the
     /// engine's held awards, so the next step re-arbitrates everything.
-    pub fn set_arbitration_tolerance(&mut self, tolerance: Option<f64>) {
-        self.incremental = tolerance.map(IncrementalArbiter::new);
-        if let (Some(engine), Some(config)) = (self.incremental.as_mut(), self.wake) {
-            engine.set_wake(config);
-        }
-        self.rebuild_wake_calendar();
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the tolerance is finite and non-negative.
+    pub fn set_arbitration_tolerance(&mut self, tolerance: f64) {
+        self.engine = IncrementalArbiter::new(tolerance).with_wake(self.wake);
     }
 
-    /// The incremental arbitration tolerance (`None` = the full fold runs
-    /// every quantum).
-    pub fn arbitration_tolerance(&self) -> Option<f64> {
-        self.incremental.as_ref().map(IncrementalArbiter::tolerance)
+    /// The arbitration tolerance (0 = the full fold runs every quantum).
+    pub fn arbitration_tolerance(&self) -> f64 {
+        self.engine.tolerance()
     }
 
     /// Enables the **event-driven wake scheduler** on top of incremental
     /// arbitration: an application whose request has stayed inside the
     /// arbitration tolerance for [`WakeConfig::steady_quanta`] consecutive
     /// quanta is put to sleep for up to [`WakeConfig::horizon`] quanta. A
-    /// sleeping app is skipped by *every* per-app stage — not observed,
-    /// not classified, not decided; its held award simply stands — so the
-    /// step cost scales with the awake set instead of the fleet, and each
-    /// slept quantum lands in [`obs::Counter::AppsSlept`] (keeping
+    /// sleeping app leaves the participant list, so it is skipped by
+    /// *every* per-app stage — not observed, not classified, not decided;
+    /// its held award simply stands — and the step cost scales with the
+    /// awake set instead of the fleet. Each slept quantum lands in
+    /// [`obs::Counter::AppsSlept`] (keeping
     /// `slept + skipped + rearbitrated + decided` a partition of active
     /// app-quanta).
     ///
@@ -1139,66 +1164,48 @@ impl Coordinator {
     /// while asleep do *not* wake the app; they stay pending and re-enroll
     /// it into observation the quantum it wakes.
     ///
-    /// Requires incremental arbitration: the config is stored immediately
-    /// but stays inert until [`Self::with_arbitration_tolerance`] attaches
-    /// an engine (the steady/dirty classification the sleep decision rides
-    /// on is the engine's). Horizon 0 ([`WakeConfig::OFF`]) disables
-    /// scheduling and is bit-identical to the plain incremental path at
-    /// every worker count (pinned by `tests/incremental_props.rs`).
+    /// Sleep rides on the engine's steady/dirty classification, so at
+    /// tolerance 0 (every app dirty every quantum) nothing ever sleeps.
+    /// Horizon 0 ([`WakeConfig::OFF`], the default) disables scheduling:
+    /// every slot participates in every round.
     pub fn with_wake_schedule(mut self, config: WakeConfig) -> Self {
-        self.set_wake_schedule(Some(config));
+        self.set_wake_schedule(config);
         self
     }
 
-    /// Changes (or removes, with `None`) the wake-scheduler configuration
-    /// mid-run (see [`Self::with_wake_schedule`]). Any change wakes the
-    /// whole fleet, so no app sleeps across a scheduling-rule change.
-    pub fn set_wake_schedule(&mut self, config: Option<WakeConfig>) {
+    /// Changes the wake-scheduler configuration mid-run (see
+    /// [`Self::with_wake_schedule`]). Any change wakes the whole fleet, so
+    /// no app sleeps across a scheduling-rule change.
+    pub fn set_wake_schedule(&mut self, config: WakeConfig) {
         self.wake = config;
-        if let Some(engine) = self.incremental.as_mut() {
-            engine.set_wake(config.unwrap_or(WakeConfig::OFF));
+        self.engine.set_wake(config);
+        self.wake_calendar.clear();
+        if config.enabled() {
+            for index in 0..self.apps.len() {
+                self.schedule_presence_wakes(index);
+            }
         }
-        self.rebuild_wake_calendar();
     }
 
-    /// The wake-scheduler configuration, if any (`None` = every app is
-    /// awake every quantum).
-    pub fn wake_schedule(&self) -> Option<WakeConfig> {
+    /// The wake-scheduler configuration ([`WakeConfig::OFF`] = every app
+    /// participates every quantum).
+    pub fn wake_schedule(&self) -> WakeConfig {
         self.wake
     }
 
-    /// Whether wake scheduling actually runs this step: an enabled config
-    /// riding on a live incremental engine.
-    fn wake_scheduling_active(&self) -> bool {
-        self.wake.is_some_and(|config| config.enabled()) && self.incremental.is_some()
-    }
-
-    /// Rebuilds the wake calendar from every app's pending arrival and
-    /// departure quanta; cleared when wake scheduling is off (without
-    /// sleepers there is nothing to force-wake). Entries at the current
-    /// quantum are kept — the next step drains them, and a redundant wake
-    /// of an already-awake slot is a no-op.
-    fn rebuild_wake_calendar(&mut self) {
-        self.wake_calendar.clear();
-        if !self.wake_scheduling_active() {
-            return;
-        }
-        let quantum = self.quantum;
-        for (index, app) in self.apps.iter().enumerate() {
-            if app.arrival >= quantum {
-                self.wake_calendar
-                    .entry(app.arrival)
-                    .or_default()
-                    .push(index as u32);
-            }
-            if let Some(departure) = app.departure {
-                if departure >= quantum {
-                    self.wake_calendar
-                        .entry(departure)
-                        .or_default()
-                        .push(index as u32);
-                }
-            }
+    /// Puts slot `index`'s future arrival and departure quanta on the wake
+    /// calendar, so a sleeper is force-woken the quantum its schedule
+    /// presence flips. A flip at or before the current quantum needs no
+    /// entry: the slot is awake for the next step anyway — registration
+    /// and a schedule change both wake it.
+    fn schedule_presence_wakes(&mut self, index: usize) {
+        let app = &self.apps[index];
+        let flips = std::iter::once(app.arrival).chain(app.departure);
+        for quantum in flips.filter(|&quantum| quantum > self.quantum) {
+            self.wake_calendar
+                .entry(quantum)
+                .or_default()
+                .push(index as u32);
         }
     }
 
@@ -1230,31 +1237,13 @@ impl Coordinator {
             };
             self.push_event(kind);
         }
-        self.monitors.push(app.monitor.clone());
         self.hot.reported_work.push(None);
         self.hot.reported_power.push(None);
         self.hot.fresh.push(false);
         self.apps.push(app);
         let handle = AppHandle(self.apps.len() - 1);
-        if self.wake_scheduling_active() {
-            // Future presence flips go on the wake calendar; a transition
-            // at or before the current quantum needs no entry — the engine
-            // registers the new slot dirty (hence awake) anyway.
-            let app = &self.apps[handle.0];
-            if app.arrival > self.quantum {
-                self.wake_calendar
-                    .entry(app.arrival)
-                    .or_default()
-                    .push(handle.0 as u32);
-            }
-            if let Some(departure) = app.departure {
-                if departure > self.quantum {
-                    self.wake_calendar
-                        .entry(departure)
-                        .or_default()
-                        .push(handle.0 as u32);
-                }
-            }
+        if self.wake.enabled() {
+            self.schedule_presence_wakes(handle.0);
         }
         handle
     }
@@ -1314,9 +1303,7 @@ impl Coordinator {
         let quantum = self.quantum;
         let app = &mut self.apps[handle.0];
         app.departure = Some(app.departure.map_or(quantum, |d| d.min(quantum)));
-        if let Some(engine) = self.incremental.as_mut() {
-            engine.mark_dirty(handle.0);
-        }
+        self.engine.mark_dirty(handle.0);
         if self.observer.is_some() {
             if let Some(observer) = &self.observer {
                 observer.count(Counter::Retirements);
@@ -1355,9 +1342,7 @@ impl Coordinator {
         self.budget_watts = budget_watts;
         // A new budget invalidates every held award: the water level and
         // clearing price are functions of the budget.
-        if let Some(engine) = self.incremental.as_mut() {
-            engine.mark_all_dirty();
-        }
+        self.engine.mark_all_dirty();
     }
 
     /// Number of registered applications (present or not).
@@ -1385,13 +1370,11 @@ impl Coordinator {
         self.policy.name()
     }
 
-    /// Replaces the arbitration policy (takes effect next step; on the
-    /// incremental path the whole fleet re-arbitrates under it).
+    /// Replaces the arbitration policy (takes effect next step; the whole
+    /// fleet re-arbitrates under it).
     pub fn set_policy(&mut self, policy: Box<dyn ArbitrationPolicy>) {
         self.policy = policy;
-        if let Some(engine) = self.incremental.as_mut() {
-            engine.mark_all_dirty();
-        }
+        self.engine.mark_all_dirty();
     }
 
     /// The application behind `handle`.
@@ -1436,7 +1419,9 @@ impl Coordinator {
     pub fn fleet_request(&mut self) -> AppRequest {
         let quantum = self.quantum;
         let budget = self.budget_watts;
-        observe_fleet(&self.monitors, &mut self.observations);
+        self.observations.clear();
+        self.observations
+            .extend(self.apps.iter().map(|app| app.monitor.observation()));
         self.requests.clear();
         self.requests.extend(
             self.apps
@@ -1447,11 +1432,14 @@ impl Coordinator {
         aggregate_requests(&self.requests)
     }
 
-    /// Runs one coordinated quantum at simulation time `now`:
-    /// observe the fleet, arbitrate the budget, and let every present app
-    /// decide under its envelope. Advances the shared quantum counter.
+    /// Runs one coordinated quantum at simulation time `now` and advances
+    /// the shared quantum counter. One pipeline, stages in order (see the
+    /// type docs): round open, one observe walk over the participants that
+    /// need a snapshot, the watchdog, the engine's arbitration, one decide
+    /// walk over the participants carrying the engine's dirty mask, and the
+    /// summary.
     ///
-    /// The per-application stages shard across the persistent worker pool
+    /// Both walks shard across the persistent worker pool
     /// ([`Self::workers`] threads, once the fleet reaches
     /// [`Self::shard_threshold`]); the output is bit-identical at every
     /// worker count (see the type-level sharding notes).
@@ -1465,242 +1453,69 @@ impl Coordinator {
     /// apps at higher indices than the failing one.
     pub fn step(&mut self, now: f64) -> Result<StepSummary, SeecError> {
         let quantum = self.quantum;
+        let budget = self.budget_watts;
+        let fleet = self.apps.len();
         self.last_now = now;
         // Telemetry: the clock exists only when a recorder is attached, so
         // the disabled step never touches `Instant::now`.
         let observer = self.observer.clone();
         let mut clock = observer.as_ref().map(|_| StageClock::start());
-        let pool = self
-            .pool
+        let pool = self.pool.clone().filter(|_| fleet >= self.shard_threshold);
+        let shard = pool
             .as_ref()
-            .filter(|_| self.apps.len() >= self.shard_threshold)
-            .cloned();
-        let shard = match &pool {
-            Some(pool) => Self::shard_size(self.apps.len(), pool.threads()),
-            None => self.apps.len().max(1),
-        };
+            .map_or(fleet.max(1), |pool| Self::shard_size(fleet, pool.threads()));
 
-        // ---- Wake scheduling: force-wakes + round open --------------
-        // Presence transitions landing at this quantum wake their slots
-        // before the round's participant list is fixed; then the engine
-        // opens the round — drains expired sleep deadlines, merges pending
-        // wakes — and hands back the awake list every per-app stage below
-        // iterates instead of the fleet.
-        let wake_on = self.wake_scheduling_active();
-        if wake_on {
-            let engine = self
-                .incremental
-                .as_mut()
-                .expect("wake scheduling requires the incremental engine");
-            while let Some(entry) = self.wake_calendar.first_entry() {
-                if *entry.key() > quantum {
-                    break;
-                }
-                for index in entry.remove() {
-                    engine.wake(index as usize);
-                }
+        // ---- Round open ---------------------------------------------
+        // Presence flips landing at this quantum wake their slots before
+        // the engine fixes the participant list.
+        while let Some(entry) = self.wake_calendar.first_entry() {
+            if *entry.key() > quantum {
+                break;
             }
-            let awake = engine
-                .begin_round(self.apps.len())
-                .expect("wake scheduling implies an enabled engine round");
-            self.hot.awake.clear();
-            self.hot.awake.extend_from_slice(awake);
+            for index in entry.remove() {
+                self.engine.wake(index as usize);
+            }
         }
+        self.engine.begin_round(fleet);
+        // Slots registered since the last step get buffer rows; they are
+        // never steady, so the observe walk below fills them.
+        self.observations
+            .resize(fleet, MonitorObservation::default());
+        self.requests.resize(fleet, AppRequest::ABSENT);
 
-        // ---- Observe + build requests (per-app, sharded) ------------
-        let budget = self.budget_watts;
-        // Event-driven observation skipping (incremental schedule only,
-        // positive tolerance): an app that was clean at the last round,
-        // has reported nothing since, and whose schedule presence is
-        // unchanged already holds a current observation and request — it
-        // pays nothing for the quantum. Any report, lifecycle event, or
-        // fleet-wide invalidation re-enrolls it.
-        self.hot.skip_observe.clear();
+        // ---- Observe + build requests (one walk, sharded) -----------
+        // A participant that was clean at the last round, has reported
+        // nothing since, and whose schedule presence is unchanged already
+        // holds a current observation and request — it pays nothing for
+        // the quantum. Any report, lifecycle event, or fleet-wide
+        // invalidation re-enrolls it (at tolerance 0 nothing is steady).
+        let engine = &self.engine;
+        let (apps, requests, fresh) = (&self.apps, &self.requests, &self.hot.fresh);
         self.hot.observe_list.clear();
-        let warm =
-            self.observations.len() == self.apps.len() && self.requests.len() == self.apps.len();
-        // Wake-scheduled rounds pre-filter the awake list into a compact
-        // observe list instead of building a fleet-length skip mask: the
-        // walk below then touches only slots that need a fresh snapshot.
-        // (Cold buffers — a fleet resize since the last step — fall back
-        // to the full refill exactly like the mask path.)
-        let wake_observe = wake_on && warm;
-        if wake_observe {
-            let engine = self
-                .incremental
-                .as_ref()
-                .expect("wake scheduling requires the incremental engine");
-            let requests = &self.requests;
-            let apps = &self.apps;
-            let FleetHot {
-                awake,
-                observe_list,
-                fresh,
-                ..
-            } = &mut self.hot;
-            observe_list.extend(awake.iter().copied().filter(|&index| {
+        self.hot
+            .observe_list
+            .extend(engine.awake_slots().iter().copied().filter(|&index| {
                 let index = index as usize;
-                let app = &apps[index];
                 !(engine.steady(index)
                     && !fresh[index]
-                    && app.active_at(quantum) == requests[index].active)
+                    && apps[index].active_at(quantum) == requests[index].active)
             }));
-        } else if let Some(engine) = &self.incremental {
-            if engine.tolerance() > 0.0 && warm {
-                let fresh = &self.hot.fresh;
-                let requests = &self.requests;
-                self.hot
-                    .skip_observe
-                    .extend(self.apps.iter().enumerate().map(|(index, app)| {
-                        engine.steady(index)
-                            && !fresh[index]
-                            && app.active_at(quantum) == requests[index].active
-                    }));
-            }
-        }
-        let skipped_observe = self.hot.skip_observe.iter().filter(|&&skip| skip).count();
-        let observed_apps = if wake_observe {
-            self.hot.observe_list.len()
-        } else {
-            self.apps.len() - skipped_observe
-        };
-        if wake_observe {
-            if shard >= self.apps.len() {
-                // Sequential: walk only the observe list.
-                for &index in &self.hot.observe_list {
-                    let index = index as usize;
-                    let app = &self.apps[index];
-                    let observation = app.monitor.observation();
-                    self.requests[index] = request_for(app, &observation, quantum, budget);
-                    self.observations[index] = observation;
-                }
-            } else {
-                // Pooled: the same contiguous fleet shards as the
-                // always-awake path (exclusive `&mut` chunks — boxed
-                // actuators make `ManagedApp` `Send` but not `Sync`), each
-                // handed the sub-slice of the ascending observe list that
-                // falls in its range.
-                struct WakeObserveShard<'a> {
-                    base: usize,
-                    apps: &'a mut [ManagedApp],
-                    observations: &'a mut [MonitorObservation],
-                    requests: &'a mut [AppRequest],
-                    list: &'a [u32],
-                }
-                let pool = pool.as_ref().expect("a shard smaller than the fleet implies a pool");
-                let list = &self.hot.observe_list;
-                let mut shards: Vec<WakeObserveShard> = self
-                    .apps
-                    .chunks_mut(shard)
-                    .zip(self.observations.chunks_mut(shard))
-                    .zip(self.requests.chunks_mut(shard))
-                    .enumerate()
-                    .map(|(chunk, ((apps, observations), requests))| {
-                        let base = chunk * shard;
-                        let end = base + apps.len();
-                        let lo = list.partition_point(|&index| (index as usize) < base);
-                        let hi = list.partition_point(|&index| (index as usize) < end);
-                        WakeObserveShard {
-                            base,
-                            apps,
-                            observations,
-                            requests,
-                            list: &list[lo..hi],
-                        }
-                    })
-                    .collect();
-                pool.for_each_mut(&mut shards, |_, task| {
-                    for &index in task.list {
-                        let offset = index as usize - task.base;
-                        let app = &task.apps[offset];
-                        let observation = app.monitor.observation();
-                        task.requests[offset] = request_for(app, &observation, quantum, budget);
-                        task.observations[offset] = observation;
-                    }
-                });
-            }
-        } else if shard >= self.apps.len() || self.observations.len() != self.apps.len() {
-            if self.hot.skip_observe.is_empty() {
-                // Sequential (single shard), or the buffers are cold because
-                // the fleet changed since the last step: refill in one pass.
-                observe_fleet(&self.monitors, &mut self.observations);
-                self.requests.clear();
-                self.requests.extend(
-                    self.apps
-                        .iter()
-                        .zip(&self.observations)
-                        .map(|(app, observation)| request_for(app, observation, quantum, budget)),
-                );
-            } else {
-                // Sequential in-place pass honouring the skip mask (the
-                // mask is only built over warm buffers).
-                for (index, (app, (observation, request))) in self
-                    .apps
-                    .iter()
-                    .zip(self.observations.iter_mut().zip(self.requests.iter_mut()))
-                    .enumerate()
-                {
-                    if self.hot.skip_observe[index] {
-                        continue;
-                    }
-                    *observation = app.monitor.observation();
-                    *request = request_for(app, observation, quantum, budget);
-                }
-            }
-        } else {
-            // Warm buffers: overwrite them in place, one shard per pool
-            // task. Shards are handed out as `&mut` chunks even though this
-            // stage only reads the apps: exclusive chunks need
-            // `ManagedApp: Send` rather than `Sync`, which boxed actuators
-            // do not promise.
-            struct ObserveShard<'a> {
-                apps: &'a mut [ManagedApp],
-                observations: &'a mut [MonitorObservation],
-                requests: &'a mut [AppRequest],
-                /// Chunk of the skip mask (empty = observe everything).
-                skip: &'a [bool],
-            }
-            let pool = pool.as_ref().expect("a shard smaller than the fleet implies a pool");
-            let mask = &self.hot.skip_observe;
-            let mut shards: Vec<ObserveShard> = self
-                .apps
-                .chunks_mut(shard)
-                .zip(self.observations.chunks_mut(shard))
-                .zip(self.requests.chunks_mut(shard))
-                .enumerate()
-                .map(|(chunk, ((apps, observations), requests))| {
-                    let skip = if mask.is_empty() {
-                        &[][..]
-                    } else {
-                        &mask[chunk * shard..chunk * shard + apps.len()]
-                    };
-                    ObserveShard {
-                        apps,
-                        observations,
-                        requests,
-                        skip,
-                    }
-                })
-                .collect();
-            pool.for_each_mut(&mut shards, |_, task| {
-                for (offset, ((app, observation), request)) in task
-                    .apps
-                    .iter()
-                    .zip(task.observations.iter_mut())
-                    .zip(task.requests.iter_mut())
-                    .enumerate()
-                {
-                    if task.skip.get(offset).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    *observation = app.monitor.observation();
-                    *request = request_for(app, observation, quantum, budget);
-                }
-            });
-        }
-
+        let observed: Result<(), Infallible> = for_each_listed(
+            pool.as_deref(),
+            shard,
+            &self.hot.observe_list,
+            &mut self.apps,
+            &mut self.observations,
+            &mut self.requests,
+            |_, app, observation, request| {
+                *observation = app.monitor.observation();
+                *request = request_for(app, observation, quantum, budget);
+                Ok(())
+            },
+        );
+        let Ok(()) = observed;
         if let (Some(observer), Some(clock)) = (&observer, clock.as_mut()) {
-            observer.add(Counter::AppsObserved, observed_apps as u64);
+            observer.add(Counter::AppsObserved, self.hot.observe_list.len() as u64);
             observer.time(Stage::Observe, clock.lap());
         }
 
@@ -1725,9 +1540,7 @@ impl Coordinator {
                 // A ladder move re-enters the app into the arbitration
                 // fold: quarantine rewrote its request, readmission
                 // restored it.
-                if let Some(engine) = self.incremental.as_mut() {
-                    engine.mark_dirty(index);
-                }
+                self.engine.mark_dirty(index);
                 // Ladder telemetry, raised from this sequential loop only:
                 // first-time quarantines match the figure summaries'
                 // `quarantined_apps` (an app re-quarantined after
@@ -1753,26 +1566,15 @@ impl Coordinator {
         }
 
         // ---- Arbitrate (sequential deterministic fold) --------------
-        // The incremental engine re-arbitrates only the dirty set against
-        // the residual budget; at tolerance 0 every app is dirty and the
-        // engine makes byte-for-byte the same policy call as the full
-        // path below.
-        let mut slept = 0;
-        if let Some(engine) = self.incremental.as_mut() {
-            let outcome = engine.arbitrate(
-                self.policy.as_mut(),
-                self.budget_watts * self.headroom,
-                &self.requests,
-                &mut self.awards,
-            );
-            slept = outcome.slept;
-        } else {
-            self.policy.arbitrate(
-                self.budget_watts * self.headroom,
-                &self.requests,
-                &mut self.awards,
-            );
-        }
+        // The engine re-arbitrates only the dirty participants against the
+        // residual budget; at tolerance 0 every app is dirty and the
+        // engine makes byte-for-byte the full-fold policy call.
+        let outcome = self.engine.arbitrate(
+            self.policy.as_mut(),
+            self.budget_watts * self.headroom,
+            &self.requests,
+            &mut self.awards,
+        );
 
         if let (Some(observer), Some(clock)) = (&observer, clock.as_mut()) {
             observer.time(Stage::Arbitrate, clock.lap());
@@ -1781,8 +1583,8 @@ impl Coordinator {
             // stage ever visits them — so the decide ledger
             // (slept + skipped + rearbitrated + decided) still partitions
             // every active app-quantum exactly once.
-            if slept > 0 {
-                observer.add(Counter::AppsSlept, slept as u64);
+            if outcome.slept > 0 {
+                observer.add(Counter::AppsSlept, outcome.slept as u64);
             }
             // Awards changed vs held: bit-for-bit comparison of each
             // present app's fresh award against the envelope it executed
@@ -1803,173 +1605,50 @@ impl Coordinator {
             observer.add(Counter::AwardsHeld, held);
         }
 
-        // ---- Decide under the envelopes (per-app, sharded) ----------
-        // On the incremental path the engine's dirty mask rides along:
-        // clean apps skip the whole decide quantum. Wake-scheduled rounds
-        // walk the engine's participant list instead of the fleet —
-        // re-read after arbitration so mid-round wakes (watchdog health
-        // transitions) are decided too; sleeping slots are never visited,
-        // their held award and previous decision stand.
-        if wake_on {
-            let engine = self
-                .incremental
-                .as_ref()
-                .expect("wake scheduling requires the incremental engine");
-            self.hot.awake.clear();
-            self.hot.awake.extend_from_slice(engine.awake_slots());
-        }
-        let dirty_mask: Option<&[bool]> =
-            self.incremental.as_ref().map(IncrementalArbiter::dirty_mask);
-        if wake_on {
-            if shard >= self.apps.len() {
-                if let Err((_, err)) = decide_list(
-                    &self.hot.awake,
-                    0,
-                    &mut self.apps,
-                    &self.observations,
-                    &self.awards,
-                    dirty_mask,
-                    now,
-                    quantum,
-                    observer.as_deref(),
-                ) {
-                    return Err(err);
-                }
-            } else {
-                struct WakeDecideShard<'a> {
-                    base: usize,
-                    apps: &'a mut [ManagedApp],
-                    observations: &'a [MonitorObservation],
-                    awards: &'a [f64],
-                    dirty: Option<&'a [bool]>,
-                    list: &'a [u32],
-                    failure: Option<(usize, SeecError)>,
-                }
-                let pool = pool.as_ref().expect("a shard smaller than the fleet implies a pool");
-                let list = &self.hot.awake;
-                let mut shards: Vec<WakeDecideShard> = self
-                    .apps
-                    .chunks_mut(shard)
-                    .zip(self.observations.chunks(shard))
-                    .zip(self.awards.chunks(shard))
-                    .enumerate()
-                    .map(|(chunk, ((apps, observations), awards))| {
-                        let base = chunk * shard;
-                        let end = base + apps.len();
-                        let lo = list.partition_point(|&index| (index as usize) < base);
-                        let hi = list.partition_point(|&index| (index as usize) < end);
-                        let dirty =
-                            dirty_mask.map(|mask| &mask[base..base + apps.len()]);
-                        WakeDecideShard {
-                            base,
-                            apps,
-                            observations,
-                            awards,
-                            dirty,
-                            list: &list[lo..hi],
-                            failure: None,
-                        }
-                    })
-                    .collect();
-                let decide_observer = observer.as_deref();
-                pool.for_each_mut(&mut shards, |_, task| {
-                    task.failure = decide_list(
-                        task.list,
-                        task.base,
-                        task.apps,
-                        task.observations,
-                        task.awards,
-                        task.dirty,
-                        now,
-                        quantum,
-                        decide_observer,
-                    )
-                    .err();
-                });
-                // Report the lowest-indexed failure, matching the
-                // sequential walk's choice (decide_list failures carry
-                // global indices already).
-                if let Some((_, err)) = shards
-                    .into_iter()
-                    .filter_map(|task| task.failure)
-                    .min_by_key(|(index, _)| *index)
-                {
-                    return Err(err);
-                }
-            }
-        } else if shard >= self.apps.len() {
-            if let Err((_, err)) = decide_chunk(
-                &mut self.apps,
-                &self.observations,
-                &self.awards,
-                dirty_mask,
-                now,
-                quantum,
-                observer.as_deref(),
-            ) {
-                return Err(err);
-            }
+        // ---- Decide under the envelopes (one walk, sharded) ---------
+        // The participant list is re-read after arbitration, so mid-round
+        // wakes (watchdog health transitions) are decided too; sleeping
+        // slots are never visited — their held award and previous
+        // decision stand. The dirty mask rides along: clean participants
+        // skip the whole decide quantum.
+        let dirty = self.engine.dirty_mask();
+        let awards = &self.awards;
+        let booking = if self.engine.tolerance() > 0.0 {
+            Counter::AppsRearbitrated
         } else {
-            struct DecideShard<'a> {
-                apps: &'a mut [ManagedApp],
-                observations: &'a [MonitorObservation],
-                awards: &'a [f64],
-                dirty: Option<&'a [bool]>,
-                failure: Option<(usize, SeecError)>,
-            }
-            let pool = pool.as_ref().expect("a shard smaller than the fleet implies a pool");
-            let mut shards: Vec<DecideShard> = self
-                .apps
-                .chunks_mut(shard)
-                .zip(self.observations.chunks(shard))
-                .zip(self.awards.chunks(shard))
-                .enumerate()
-                .map(|(chunk, ((apps, observations), awards))| {
-                    let dirty = dirty_mask
-                        .map(|mask| &mask[chunk * shard..chunk * shard + apps.len()]);
-                    DecideShard {
-                        apps,
-                        observations,
-                        awards,
-                        dirty,
-                        failure: None,
-                    }
-                })
-                .collect();
-            let decide_observer = observer.as_deref();
-            pool.for_each_mut(&mut shards, |index, task| {
-                task.failure = decide_chunk(
-                    task.apps,
-                    task.observations,
-                    task.awards,
-                    task.dirty,
+            Counter::AppsDecided
+        };
+        let decide_observer = observer.as_deref();
+        for_each_listed(
+            pool.as_deref(),
+            shard,
+            self.engine.awake_slots(),
+            &mut self.apps,
+            &mut self.observations,
+            &mut self.requests,
+            |index, app, observation, _| {
+                decide_one(
+                    app,
+                    observation,
+                    awards[index],
+                    dirty[index],
+                    booking,
                     now,
                     quantum,
                     decide_observer,
                 )
-                .err()
-                .map(|(offset, err)| (index * shard + offset, err));
-            });
-            // Report the lowest-indexed failure, matching the sequential
-            // path's choice when several apps would have failed.
-            if let Some((_, err)) = shards
-                .into_iter()
-                .filter_map(|task| task.failure)
-                .min_by_key(|(index, _)| *index)
-            {
-                return Err(err);
-            }
-        }
+            },
+        )?;
 
         // ---- Summarise (sequential, fixed order) --------------------
         // The awarded-watts total is folded in registration order whatever
         // the worker count, so the summary is part of the bit-identity
         // guarantee rather than an exception to it.
-        let mut active_apps = 0;
-        let mut awarded_total = 0.0;
         if let (Some(observer), Some(clock)) = (&observer, clock.as_mut()) {
             observer.time(Stage::Decide, clock.lap());
         }
+        let mut active_apps = 0;
+        let mut awarded_total = 0.0;
         for (app, &award) in self.apps.iter().zip(&self.awards) {
             if app.active_at(quantum) {
                 active_apps += 1;
@@ -1978,18 +1657,11 @@ impl Coordinator {
         }
 
         // The report-freshness flags describe "since the last step"; this
-        // step consumed them (they only gate observation skipping, so the
-        // full path never reads them). Wake-scheduled rounds clear only
-        // the participants' flags: a report delivered to a *sleeping*
-        // slot stays pending, so the wake quantum re-enrolls it into
-        // observation.
-        if wake_on {
-            let FleetHot { awake, fresh, .. } = &mut self.hot;
-            for &index in awake.iter() {
-                fresh[index as usize] = false;
-            }
-        } else if self.incremental.is_some() {
-            self.hot.fresh.iter_mut().for_each(|fresh| *fresh = false);
+        // step consumed the participants'. A report delivered to a
+        // *sleeping* slot stays pending, so the wake quantum re-enrolls it
+        // into observation.
+        for &index in self.engine.awake_slots() {
+            self.hot.fresh[index as usize] = false;
         }
 
         self.quantum += 1;
@@ -2975,42 +2647,38 @@ mod tests {
     }
 
     #[test]
-    fn horizon_zero_wake_schedule_is_bit_identical_to_the_plain_incremental_path() {
-        let build = |wake: Option<WakeConfig>| {
-            let mut coordinator = Coordinator::new(55.0, Box::new(PerformanceMarket::default()))
-                .with_arbitration_tolerance(0.05);
-            if let Some(config) = wake {
-                coordinator = coordinator.with_wake_schedule(config);
-            }
-            let handles = vec![
-                coordinator.register(managed_app(SplashBenchmark::Barnes, 7, 18.0)),
-                coordinator.register(managed_app(SplashBenchmark::OceanNonContiguous, 8, 24.0)),
-            ];
-            (coordinator, handles)
-        };
-        let (mut plain, plain_handles) = build(None);
-        let (mut gated, gated_handles) = build(Some(WakeConfig {
-            steady_quanta: 2,
-            horizon: 0,
-        }));
+    fn a_mid_run_registration_observes_only_the_participants() {
+        // A resident fleet asleep on a long horizon; registering one app
+        // must snapshot the newcomer's row, not re-observe every
+        // registered slot.
+        let recorder = Arc::new(Recorder::in_memory());
+        let mut coordinator = Coordinator::new(80.0, Box::new(WeightedFair))
+            .with_arbitration_tolerance(0.05)
+            .with_wake_schedule(WakeConfig {
+                steady_quanta: 1,
+                horizon: 64,
+            })
+            .with_obs(Arc::clone(&recorder));
+        let mut handles: Vec<AppHandle> = (0..6)
+            .map(|i| {
+                coordinator.register(managed_app(SplashBenchmark::ALL[i % 5], i as u64 + 1, 20.0))
+            })
+            .collect();
         let mut now = 0.0;
-        for _ in 0..12 {
-            now += 1.0;
-            for (&a, &b) in plain_handles.iter().zip(&gated_handles) {
-                plain.advance(a, now - 1.0, now, 10.0, 9.0);
-                gated.advance(b, now - 1.0, now, 10.0, 9.0);
-            }
-            plain.step(now).unwrap();
-            gated.step(now).unwrap();
-            let plain_bits: Vec<u64> =
-                plain.awards().iter().map(|award| award.to_bits()).collect();
-            let gated_bits: Vec<u64> =
-                gated.awards().iter().map(|award| award.to_bits()).collect();
-            assert_eq!(
-                plain_bits, gated_bits,
-                "horizon 0 must be bit-identical to no wake schedule"
-            );
-        }
+        drive_from(&mut coordinator, &handles, 8, &mut now);
+        let observed_before = recorder.counter(Counter::AppsObserved);
+        let slept_before = recorder.counter(Counter::AppsSlept);
+        handles.push(coordinator.register(managed_app(SplashBenchmark::Raytrace, 9, 20.0)));
+        drive_from(&mut coordinator, &handles, 1, &mut now);
+        let observed = recorder.counter(Counter::AppsObserved) - observed_before;
+        let slept = recorder.counter(Counter::AppsSlept) - slept_before;
+        assert!(slept > 0, "the resident fleet should be asleep");
+        let participants = coordinator.len() as u64 - slept;
+        assert!(
+            (1..=participants).contains(&observed),
+            "observed {observed} slots with {participants} participants of {} registered",
+            coordinator.len()
+        );
     }
 
     #[test]

@@ -10,21 +10,25 @@
 //! re-runs the wrapped [`ArbitrationPolicy`] only over the dirty
 //! applications, against the *residual* budget left after the clean
 //! applications' held awards — a delta update of WeightedFair's water level
-//! and the market's clearing price (both are pure functions of the
-//! participating request set and the budget, so shrinking the set and the
-//! budget together is exact).
+//! and the market's clearing price. Both are pure functions of the
+//! participating request set and the budget, so the residual fold is exact
+//! *relative to the held awards*: it splits what the clean set leaves
+//! exactly as the policy would. It is not exact relative to the full fold —
+//! a held award is whatever the slot got when it was last dirty, and how
+//! far the merged vector drifts from a fresh full fold is not bounded
+//! today.
 //!
 //! # Tolerance-0 determinism
 //!
 //! The degenerate tolerance `0.0` marks **every** application dirty every
 //! quantum (a request delta of exactly zero is not *strictly inside* a zero
 //! tolerance), so the engine falls through to one [`ArbitrationPolicy::arbitrate`]
-//! call over the full request slice — byte-for-byte the call the
-//! non-incremental path makes. Incremental arbitration at tolerance 0 is
-//! therefore *bit-identical* to full re-arbitration by construction, which
-//! is exactly what the differential suite
-//! (`tests/incremental_props.rs`) pins across policies, fleets, churn, and
-//! worker counts.
+//! call over the full request slice — byte-for-byte the full fold.
+//! Incremental arbitration at tolerance 0 is therefore *bit-identical* to
+//! full re-arbitration by construction, which is why the coordinator always
+//! owns an engine and tolerance 0 is its default. The differential suite
+//! (`tests/incremental_props.rs`) pins the engine against the raw policy
+//! across policies, fleets, and churn.
 //!
 //! # Budget conservation at any tolerance
 //!
@@ -35,13 +39,15 @@
 //! at every tolerance — pinned by the nonzero-tolerance properties of the
 //! same suite.
 //!
-//! # Wake scheduling: O(awake) rounds
+//! # The participant list and wake scheduling
 //!
-//! Even with a tolerance, classifying every slot is an O(fleet) memory walk
-//! per quantum. [`IncrementalArbiter::with_wake`] turns the engine
+//! Every round walks one ascending **participant list**. With the wake
+//! scheduler off ([`WakeConfig::OFF`], the default) it is every slot. Even
+//! with a tolerance, classifying every slot is an O(fleet) memory walk per
+//! quantum, so [`IncrementalArbiter::with_wake`] turns the engine
 //! event-driven: a slot whose request stayed inside the tolerance for
 //! [`WakeConfig::steady_quanta`] consecutive rounds is put to **sleep** with
-//! a bounded [`WakeConfig::horizon`] — it skips classification entirely and
+//! a bounded [`WakeConfig::horizon`] — it leaves the participant list and
 //! holds its award until its deadline expires (a timing wheel drains the
 //! round's bucket) or an external event wakes it early:
 //!
@@ -52,25 +58,24 @@
 //! * [`IncrementalArbiter::mark_all_dirty`] — budget/policy/watchdog
 //!   replacement wakes the whole fleet (every held award is invalid).
 //!
-//! The engine keeps an ascending **awake-index list**; classification, the
-//! hold-clamp, and the residual fold iterate only that list, so the round
-//! costs O(awake), not O(fleet). While a slot sleeps the engine never reads
-//! its request row — the caller's contract is to `wake()` any slot whose
-//! request may have moved, and every envelope-changing event
-//! (budget/policy/health/lifecycle) force-wakes, so staleness is bounded by
-//! the horizon and limited to sub-tolerance drift.
+//! Classification, the hold-clamp, and the residual fold iterate only the
+//! participant list, so the round costs O(participants), not O(fleet).
+//! While a slot sleeps the engine never reads its request row — the
+//! caller's contract is to `wake()` any slot whose request may have moved,
+//! and every envelope-changing event (budget/policy/health/lifecycle)
+//! force-wakes, so staleness is bounded by the horizon and limited to
+//! sub-tolerance drift.
 //!
-//! Horizon `0` disables the scheduler outright: the engine dispatches to
-//! the exact dense code path above, so a wake-configured engine at horizon
-//! 0 is bit-identical to an unconfigured one by construction (pinned, with
-//! the coordinator on top, by `tests/incremental_props.rs`).
+//! Horizon `0` is the same code with nothing asleep: the timing wheel is
+//! never touched, no slot ever sleeps, and the participant list stays the
+//! whole fleet.
 //!
 //! For the residual fold itself, policies that declare
 //! [`ArbitrationPolicy::index_invariant`] are called over a *compacted*
 //! slice holding just the dirty slots (identical participant values in
 //! identical relative order — identical partial sums, identical award
-//! bits); stateful per-slot policies fall back to the fleet-length masked
-//! slice.
+//! bits); stateful per-slot policies get the fleet-length slice with every
+//! other row masked inactive.
 
 use crate::policy::{AppRequest, ArbitrationPolicy};
 
@@ -82,9 +87,8 @@ pub struct WakeConfig {
     /// re-arbitrated.
     pub steady_quanta: u32,
     /// Upper bound, in rounds, on how long a slot may sleep before it is
-    /// re-classified. `0` disables wake scheduling entirely (the engine
-    /// runs the dense per-round classification, bit-identical to an
-    /// unconfigured engine).
+    /// re-classified. `0` disables wake scheduling entirely: nothing
+    /// sleeps and every slot participates in every round.
     pub horizon: usize,
 }
 
@@ -98,7 +102,7 @@ impl Default for WakeConfig {
 }
 
 impl WakeConfig {
-    /// Wake scheduling disabled: the dense classification runs every round.
+    /// Wake scheduling disabled: every slot participates in every round.
     pub const OFF: WakeConfig = WakeConfig {
         steady_quanta: 0,
         horizon: 0,
@@ -129,9 +133,9 @@ pub struct IncrementalOutcome {
 
 /// The incremental arbitration engine (see the module docs).
 ///
-/// Drives any [`ArbitrationPolicy`] incrementally; the
-/// [`crate::Coordinator`] embeds one when an arbitration tolerance is set
-/// ([`crate::Coordinator::with_arbitration_tolerance`]), and the fleet-scale
+/// Drives any [`ArbitrationPolicy`] incrementally; every
+/// [`crate::Coordinator`] owns one (tolerance 0 by default, see
+/// [`crate::Coordinator::with_arbitration_tolerance`]), and the fleet-scale
 /// harness (`fig5 --fleet N`) drives one directly over synthetic request
 /// arrays.
 #[derive(Debug)]
@@ -151,7 +155,8 @@ pub struct IncrementalArbiter {
     fleet_dirty: bool,
     scratch_requests: Vec<AppRequest>,
     scratch_awards: Vec<f64>,
-    // ---- Wake-scheduler state (inert while `wake.horizon == 0`) ----
+    // ---- Participant list and wake-scheduler state (nothing sleeps
+    // while `wake.horizon == 0`) ----
     wake: WakeConfig,
     /// Whether each slot is currently asleep (skipping whole rounds).
     sleeping: Vec<bool>,
@@ -253,8 +258,8 @@ impl IncrementalArbiter {
         self.tolerance
     }
 
-    /// Enables wake scheduling (see the module docs). Horizon 0 leaves the
-    /// engine on the dense path, bit-identical to an unconfigured one.
+    /// Enables wake scheduling (see the module docs). Horizon 0 is
+    /// [`WakeConfig::OFF`]: nothing ever sleeps.
     pub fn with_wake(mut self, config: WakeConfig) -> Self {
         self.set_wake(config);
         self
@@ -273,11 +278,6 @@ impl IncrementalArbiter {
     /// The active wake configuration ([`WakeConfig::OFF`] by default).
     pub fn wake_config(&self) -> WakeConfig {
         self.wake
-    }
-
-    /// Whether wake scheduling is active (positive horizon).
-    pub fn wake_enabled(&self) -> bool {
-        self.wake.enabled()
     }
 
     /// Wakes `index` if it is asleep: the slot re-enters classification
@@ -360,7 +360,7 @@ impl IncrementalArbiter {
     /// The ascending indices participating in the current round: after
     /// [`Self::begin_round`] (or [`Self::arbitrate`], which begins the
     /// round itself) this is every non-sleeping slot plus any slot woken
-    /// mid-round. Empty with the scheduler off.
+    /// mid-round — every slot with the scheduler off.
     pub fn awake_slots(&self) -> &[u32] {
         &self.awake
     }
@@ -375,49 +375,51 @@ impl IncrementalArbiter {
             && self.marked.get(index).is_none_or(|&marked| !marked)
     }
 
-    /// Starts a round with the scheduler on: grows the wake state to
-    /// `fleet` slots, drops last round's sleepers from the awake list,
-    /// drains the wheel bucket whose deadline is due, and merges every
-    /// pending wake. Idempotent per round; [`Self::arbitrate`] calls it
-    /// itself when the caller did not. Returns the awake list (`None` with
-    /// the scheduler off) so callers can run their own per-slot stages —
-    /// observation, request building — over just the awake set.
-    pub fn begin_round(&mut self, fleet: usize) -> Option<&[u32]> {
-        if !self.wake.enabled() {
-            return None;
-        }
+    /// Opens a round: grows the wake state to `fleet` slots and merges
+    /// every pending wake; with the scheduler on it first drops last
+    /// round's sleepers from the participant list and drains the wheel
+    /// bucket whose deadline is due. Idempotent per round;
+    /// [`Self::arbitrate`] calls it itself when the caller did not.
+    /// Returns the participant list — every slot with the scheduler off —
+    /// so callers can run their own per-slot stages (observation, request
+    /// building) over just the participants.
+    pub fn begin_round(&mut self, fleet: usize) -> &[u32] {
         if self.round_begun {
-            return Some(&self.awake);
+            return &self.awake;
         }
         self.round_begun = true;
         self.ensure_wake_capacity(fleet);
-        // Last round's sleepers leave the participant list only now, so the
-        // list kept naming them for the caller's post-arbitrate stages.
-        let sleeping = &self.sleeping;
-        self.awake.retain(|&index| !sleeping[index as usize]);
-        // Deadline expiry: drain this round's wheel bucket. Entries whose
-        // deadline moved (woken early, re-slept later) are stale — skipped.
-        let bucket = (self.round % self.wake.horizon as u64) as usize;
-        let mut due = std::mem::take(&mut self.wheel[bucket]);
-        for &index in &due {
-            let slot = index as usize;
-            if slot < self.sleeping.len()
-                && self.sleeping[slot]
-                && self.deadline[slot] == self.round
-            {
-                self.sleeping[slot] = false;
-                if self.last_requests.get(slot).is_some_and(|r| r.active) {
-                    self.sleeping_active -= 1;
+        if self.wake.enabled() {
+            // Last round's sleepers leave the participant list only now,
+            // so the list kept naming them for the caller's post-arbitrate
+            // stages.
+            let sleeping = &self.sleeping;
+            self.awake.retain(|&index| !sleeping[index as usize]);
+            // Deadline expiry: drain this round's wheel bucket. Entries
+            // whose deadline moved (woken early, re-slept later) are stale
+            // — skipped.
+            let bucket = (self.round % self.wake.horizon as u64) as usize;
+            let mut due = std::mem::take(&mut self.wheel[bucket]);
+            for &index in &due {
+                let slot = index as usize;
+                if slot < self.sleeping.len()
+                    && self.sleeping[slot]
+                    && self.deadline[slot] == self.round
+                {
+                    self.sleeping[slot] = false;
+                    if self.last_requests.get(slot).is_some_and(|r| r.active) {
+                        self.sleeping_active -= 1;
+                    }
+                    self.sleeping_held_sum -= self.held.get(slot).copied().unwrap_or(0.0);
+                    self.streak[slot] = 0;
+                    self.pending_wakes.push(index);
                 }
-                self.sleeping_held_sum -= self.held.get(slot).copied().unwrap_or(0.0);
-                self.streak[slot] = 0;
-                self.pending_wakes.push(index);
             }
+            due.clear();
+            self.wheel[bucket] = due; // hand the allocation back
         }
-        due.clear();
-        self.wheel[bucket] = due; // hand the allocation back
         self.merge_pending();
-        Some(&self.awake)
+        &self.awake
     }
 
     /// Grows (or shrinks) the wake-state columns to `fleet` slots; new
@@ -483,145 +485,17 @@ impl IncrementalArbiter {
     }
 
     /// One incremental round: splits `budget_watts` across `requests` into
-    /// `awards` through `policy`, re-arbitrating only the dirty slots (see
-    /// the module docs). Slots never seen before are dirty by definition;
-    /// growing or shrinking the slice resets the new/old slots accordingly.
+    /// `awards` through `policy`, re-arbitrating only the dirty slots among
+    /// the round's participants (see the module docs). Slots never seen
+    /// before are dirty by definition; growing or shrinking the slice
+    /// resets the new/old slots accordingly.
+    ///
+    /// Classifies the participant list, folds the dirty residual against
+    /// `Σ sleeping held + Σ participating clean held`, then — with the
+    /// scheduler on — puts steady slots to sleep. O(participants) except
+    /// for the fleet-length award copy-out and the (vectorised) mask
+    /// memsets.
     pub fn arbitrate(
-        &mut self,
-        policy: &mut dyn ArbitrationPolicy,
-        budget_watts: f64,
-        requests: &[AppRequest],
-        awards: &mut Vec<f64>,
-    ) -> IncrementalOutcome {
-        if self.wake.enabled() {
-            self.arbitrate_scheduled(policy, budget_watts, requests, awards)
-        } else {
-            self.arbitrate_dense(policy, budget_watts, requests, awards)
-        }
-    }
-
-    /// The dense round: classify every slot. This is the whole engine with
-    /// the wake scheduler off, and the path a horizon-0 configuration
-    /// dispatches to — the bit-identity anchor for both differential pins.
-    fn arbitrate_dense(
-        &mut self,
-        policy: &mut dyn ArbitrationPolicy,
-        budget_watts: f64,
-        requests: &[AppRequest],
-        awards: &mut Vec<f64>,
-    ) -> IncrementalOutcome {
-        let fleet = requests.len();
-        // Slots never seen before start marked (dirty by definition);
-        // existing slots keep whatever marks they carried.
-        self.marked.resize(fleet, true);
-        self.last_requests.resize(
-            fleet,
-            AppRequest {
-                active: false,
-                weight: 1.0,
-                urgency: 1.0,
-                max_power_watts: 0.0,
-            },
-        );
-        self.held.resize(fleet, 0.0);
-        self.dirty.clear();
-        self.dirty.resize(fleet, false);
-
-        // ---- Classify: the dirty set -------------------------------
-        // "Moved" unless the delta is *strictly inside* the tolerance, so
-        // tolerance 0 marks everything and a NaN delta always re-enters.
-        let mut dirty_count = 0;
-        for (index, request) in requests.iter().enumerate() {
-            let delta = request_delta(request, &self.last_requests[index]);
-            let moved = delta.partial_cmp(&self.tolerance) != Some(std::cmp::Ordering::Less);
-            let dirty = self.fleet_dirty || self.marked[index] || moved;
-            self.dirty[index] = dirty;
-            if dirty {
-                dirty_count += 1;
-            }
-        }
-        self.marked.iter_mut().for_each(|marked| *marked = false);
-        self.fleet_dirty = false;
-
-        let mut outcome = IncrementalOutcome {
-            full: dirty_count == fleet,
-            ..IncrementalOutcome::default()
-        };
-        for (request, &dirty) in requests.iter().zip(&self.dirty) {
-            if !request.active {
-                continue;
-            }
-            if dirty {
-                outcome.rearbitrated += 1;
-            } else {
-                outcome.skipped += 1;
-            }
-        }
-
-        if outcome.full {
-            // Degenerate round (always at tolerance 0): byte-for-byte the
-            // call the non-incremental path makes.
-            policy.arbitrate(budget_watts, requests, awards);
-            self.last_requests.copy_from_slice(requests);
-            self.held.copy_from_slice(awards);
-            return outcome;
-        }
-
-        if dirty_count == 0 {
-            // Fully steady quantum: no fold at all. Every slot holds its
-            // award (clamped to its current ceiling) and the policy is not
-            // consulted — the event-driven skip the engine exists for.
-            for (request, held) in requests.iter().zip(self.held.iter_mut()) {
-                *held = held.min(request.max_power_watts.max(0.0));
-            }
-            awards.clear();
-            awards.extend_from_slice(&self.held);
-            return outcome;
-        }
-
-        // ---- Hold the clean slots, fold the dirty residual ---------
-        // Clean awards clamp to the current ceiling (clamping only
-        // shrinks), then the dirty set is arbitrated under the residual
-        // budget — the delta update of the water level / clearing price.
-        let mut held_total = 0.0;
-        for ((request, &dirty), held) in
-            requests.iter().zip(&self.dirty).zip(self.held.iter_mut())
-        {
-            if dirty {
-                continue;
-            }
-            *held = held.min(request.max_power_watts.max(0.0));
-            held_total += *held;
-        }
-        let residual = (budget_watts - held_total).max(0.0);
-        self.scratch_requests.clear();
-        self.scratch_requests.extend(
-            requests
-                .iter()
-                .zip(&self.dirty)
-                .map(|(request, &dirty)| AppRequest {
-                    active: request.active && dirty,
-                    ..*request
-                }),
-        );
-        policy.arbitrate(residual, &self.scratch_requests, &mut self.scratch_awards);
-
-        awards.clear();
-        awards.extend((0..fleet).map(|index| {
-            if self.dirty[index] {
-                self.last_requests[index] = requests[index];
-                self.held[index] = self.scratch_awards[index];
-            }
-            self.held[index]
-        }));
-        outcome
-    }
-
-    /// The scheduled round: classify only the awake list, fold the dirty
-    /// residual against `Σ sleeping held + Σ awake-clean held`, then put
-    /// steady slots to sleep. O(awake) except for the fleet-length award
-    /// copy-out and the (vectorised) mask memsets.
-    fn arbitrate_scheduled(
         &mut self,
         policy: &mut dyn ArbitrationPolicy,
         budget_watts: f64,
@@ -633,27 +507,29 @@ impl IncrementalArbiter {
         // Wakes raised mid-round (a watchdog transition after the caller's
         // observe stage) still join this round's classification.
         self.merge_pending();
+        // Slots never seen before start marked (dirty by definition);
+        // existing slots keep whatever marks they carried.
         self.marked.resize(fleet, true);
-        self.last_requests.resize(
-            fleet,
-            AppRequest {
-                active: false,
-                weight: 1.0,
-                urgency: 1.0,
-                max_power_watts: 0.0,
-            },
-        );
+        self.last_requests.resize(fleet, AppRequest::ABSENT);
         self.held.resize(fleet, 0.0);
         self.dirty.clear();
         self.dirty.resize(fleet, false);
 
-        // ---- Classify the awake set --------------------------------
+        // ---- Classify the participants -----------------------------
+        // "Moved" unless the delta is *strictly inside* the tolerance, so
+        // tolerance 0 marks everything and a NaN delta always re-enters.
+        let mut outcome = IncrementalOutcome {
+            slept: self.sleeping_active,
+            ..IncrementalOutcome::default()
+        };
         let mut dirty_count = 0;
         for &index in &self.awake {
             let slot = index as usize;
-            let delta = request_delta(&requests[slot], &self.last_requests[slot]);
-            let moved = delta.partial_cmp(&self.tolerance) != Some(std::cmp::Ordering::Less);
-            let dirty = self.fleet_dirty || self.marked[slot] || moved;
+            let request = &requests[slot];
+            let dirty = self.fleet_dirty
+                || self.marked[slot]
+                || request_delta(request, &self.last_requests[slot]).partial_cmp(&self.tolerance)
+                    != Some(std::cmp::Ordering::Less);
             self.dirty[slot] = dirty;
             if dirty {
                 dirty_count += 1;
@@ -661,36 +537,26 @@ impl IncrementalArbiter {
             } else {
                 self.streak[slot] = self.streak[slot].saturating_add(1);
             }
-        }
-        self.marked.iter_mut().for_each(|marked| *marked = false);
-        self.fleet_dirty = false;
-
-        let mut outcome = IncrementalOutcome {
-            full: dirty_count == fleet,
-            slept: self.sleeping_active,
-            ..IncrementalOutcome::default()
-        };
-        for &index in &self.awake {
-            let slot = index as usize;
-            if !requests[slot].active {
-                continue;
-            }
-            if self.dirty[slot] {
+            if request.active && dirty {
                 outcome.rearbitrated += 1;
-            } else {
+            } else if request.active {
                 outcome.skipped += 1;
             }
         }
+        self.marked.iter_mut().for_each(|marked| *marked = false);
+        self.fleet_dirty = false;
+        outcome.full = dirty_count == fleet;
 
         if outcome.full {
-            // All slots awake and dirty (first round, or a fleet-wide
-            // invalidation woke everyone): byte-for-byte the full fold.
+            // Every slot participates and is dirty (always at tolerance 0;
+            // otherwise the first round or a fleet-wide invalidation):
+            // byte-for-byte the full fold.
             policy.arbitrate(budget_watts, requests, awards);
             self.last_requests.copy_from_slice(requests);
             self.held.copy_from_slice(awards);
         } else if dirty_count == 0 {
-            // Fully steady awake set: clamp its held awards, keep the
-            // sleepers', no policy call.
+            // Fully steady participants: clamp their held awards (clamping
+            // only shrinks), keep the sleepers', no policy call.
             for &index in &self.awake {
                 let slot = index as usize;
                 self.held[slot] =
@@ -731,7 +597,7 @@ impl IncrementalArbiter {
                 }
             } else {
                 // Stateful per-slot policies keep fleet-length alignment:
-                // the masked fallback of the dense path.
+                // clean and sleeping rows ride along masked inactive.
                 self.scratch_requests.clear();
                 self.scratch_requests.extend(
                     requests
@@ -757,24 +623,26 @@ impl IncrementalArbiter {
 
         // ---- Sleep the steady slots --------------------------------
         // A slot clean for `steady_quanta` consecutive rounds sleeps with
-        // a `horizon`-round deadline. It stays in the awake list until the
-        // next `begin_round`, so the caller's decide stage still sees this
-        // round's full participant set.
-        let steady_quanta = self.wake.steady_quanta.max(1);
-        let horizon = self.wake.horizon as u64;
-        for &index in &self.awake {
-            let slot = index as usize;
-            if self.dirty[slot] || self.streak[slot] < steady_quanta {
-                continue;
+        // a `horizon`-round deadline. It stays in the participant list
+        // until the next `begin_round`, so the caller's decide stage still
+        // sees this round's full participant set.
+        if self.wake.enabled() {
+            let steady_quanta = self.wake.steady_quanta.max(1);
+            let horizon = self.wake.horizon as u64;
+            for &index in &self.awake {
+                let slot = index as usize;
+                if self.dirty[slot] || self.streak[slot] < steady_quanta {
+                    continue;
+                }
+                self.sleeping[slot] = true;
+                self.deadline[slot] = self.round + horizon;
+                let bucket = ((self.round + horizon) % horizon) as usize;
+                self.wheel[bucket].push(index);
+                if requests[slot].active {
+                    self.sleeping_active += 1;
+                }
+                self.sleeping_held_sum += self.held[slot];
             }
-            self.sleeping[slot] = true;
-            self.deadline[slot] = self.round + horizon;
-            let bucket = ((self.round + horizon) % horizon) as usize;
-            self.wheel[bucket].push(index);
-            if requests[slot].active {
-                self.sleeping_active += 1;
-            }
-            self.sleeping_held_sum += self.held[slot];
         }
         self.round += 1;
         self.round_begun = false;
@@ -920,36 +788,6 @@ mod tests {
         }
         fn arbitrate(&mut self, budget: f64, requests: &[AppRequest], awards: &mut Vec<f64>) {
             self.0.arbitrate(budget, requests, awards);
-        }
-    }
-
-    #[test]
-    fn horizon_zero_wake_config_is_bit_identical_to_no_wake_config() {
-        let mut plain = IncrementalArbiter::new(0.05);
-        let mut zeroed =
-            IncrementalArbiter::new(0.05).with_wake(WakeConfig { steady_quanta: 4, horizon: 0 });
-        assert!(!zeroed.wake_enabled());
-        let mut policy_a = PerformanceMarket::default();
-        let mut policy_b = PerformanceMarket::default();
-        let mut requests = vec![
-            request(1.0, 1.0, 40.0),
-            request(2.0, 1.5, 30.0),
-            request(0.5, 0.8, 20.0),
-        ];
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for round in 0..12 {
-            // Churn one slot every third round.
-            if round % 3 == 0 {
-                let slot = round % requests.len();
-                requests[slot].urgency = 1.0 + round as f64 * 0.4;
-            }
-            let oa = plain.arbitrate(&mut policy_a, 55.0, &requests, &mut a);
-            let ob = zeroed.arbitrate(&mut policy_b, 55.0, &requests, &mut b);
-            let bits_a: Vec<u64> = a.iter().map(|w| w.to_bits()).collect();
-            let bits_b: Vec<u64> = b.iter().map(|w| w.to_bits()).collect();
-            assert_eq!(bits_a, bits_b, "round {round}");
-            assert_eq!(oa, ob, "round {round}");
-            assert_eq!(ob.slept, 0, "horizon 0 never sleeps");
         }
     }
 
@@ -1114,15 +952,15 @@ mod tests {
         let mut policy = WeightedFair;
         let requests = vec![request(1.0, 1.0, 40.0), request(1.0, 1.0, 40.0)];
         let mut awards = Vec::new();
-        assert_eq!(engine.begin_round(2), Some(&[0u32, 1][..]));
+        assert_eq!(engine.begin_round(2), &[0u32, 1][..]);
         engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
         engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
         // Both slots slept at the end of the last round, but leave the
         // participant list only when the next round begins.
         assert_eq!(engine.awake_slots(), &[0, 1]);
-        assert_eq!(engine.begin_round(2), Some(&[][..]));
-        // An engine without wake scheduling reports no list at all.
+        assert_eq!(engine.begin_round(2), &[][..]);
+        // Without wake scheduling every slot participates.
         let mut off = IncrementalArbiter::new(0.05);
-        assert_eq!(off.begin_round(2), None);
+        assert_eq!(off.begin_round(2), &[0u32, 1][..]);
     }
 }

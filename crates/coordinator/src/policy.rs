@@ -34,6 +34,17 @@ pub struct AppRequest {
     pub max_power_watts: f64,
 }
 
+impl AppRequest {
+    /// The row of a slot nothing has observed yet: absent, neutral weight
+    /// and urgency, no ceiling.
+    pub(crate) const ABSENT: AppRequest = AppRequest {
+        active: false,
+        weight: 1.0,
+        urgency: 1.0,
+        max_power_watts: 0.0,
+    };
+}
+
 /// A strategy for splitting a machine power budget into per-app envelopes.
 ///
 /// Policies are pluggable: implement the trait and hand the box to

@@ -1,27 +1,26 @@
 //! The incremental-arbitration differential harness.
 //!
-//! Incremental arbitration is only allowed to exist because it is
-//! *undetectable* at tolerance 0: the engine must reproduce the full
-//! re-arbitration fold **bit-for-bit** across every shipped policy, every
-//! fleet shape, every churn sequence, and every worker count. These
-//! properties pin that contract at two levels:
+//! Incremental arbitration is only allowed to be the coordinator's one
+//! arbitration path because it is *undetectable* at tolerance 0: the engine
+//! must reproduce the full re-arbitration fold **bit-for-bit** across every
+//! shipped policy, every fleet shape, and every churn sequence. The engine
+//! level pins that contract: a raw [`IncrementalArbiter`] at tolerance 0
+//! against a bare [`ArbitrationPolicy`], over generated request traces with
+//! field churn, presence flips, budget steps, and explicit dirty marks.
+//! Award vectors are compared by `f64::to_bits`, not by tolerance.
 //!
-//! * **Engine level** — a raw [`IncrementalArbiter`] at tolerance 0 against
-//!   a bare [`ArbitrationPolicy`], over generated request traces with field
-//!   churn, presence flips, budget steps, and explicit dirty marks. Award
-//!   vectors are compared by `f64::to_bits`, not by tolerance.
-//! * **Coordinator level** — a full [`Coordinator`] with
-//!   `with_arbitration_tolerance(0.0)` against a legacy coordinator with
-//!   the knob off, driven through identical register/retire/set_budget
-//!   churn on the declared-effect synthetic platform, with the incremental
-//!   side sharded across a generated worker count. Every app's awarded
-//!   envelope and every step summary must agree bitwise.
+//! At the coordinator level, the engine's most stateful configuration — a
+//! positive tolerance with the wake scheduler on — must be invisible to
+//! sharding: the traced run at every worker count is bitwise the
+//! sequential one, through arrival/departure churn, a mid-run
+//! registration, and a budget step.
 //!
 //! Nonzero tolerances trade exactness for skipped work, so their contract
-//! is the invariant layer's, not bitwise identity: awards stay finite,
-//! non-negative, within each app's absorption ceiling, zero for absent
-//! apps, and the active total conserves the budget — checked through the
-//! shared [`coordinator::invariants`] oracles every round.
+//! against the full fold is the invariant layer's, not bitwise identity:
+//! awards stay finite, non-negative, within each app's absorption ceiling,
+//! zero for absent apps, and the active total conserves the budget —
+//! checked through the shared [`coordinator::invariants`] oracles every
+//! round.
 
 use coordinator::invariants::{
     active_total, check_award_vector, check_budget_conservation, check_summary_total, AwardedApp,
@@ -347,26 +346,27 @@ type Trace = Vec<(
     Vec<Option<seec::CapDecision>>,
 )>;
 
-/// Drives a fleet for `quanta` steps against a platform mirroring each
-/// app's declared effects exactly. `tolerance` turns the incremental
-/// engine on; `budget_step` applies a mid-run budget change (the
-/// whole-fleet invalidation path); `wake` attaches a wake schedule on
-/// top of the incremental engine.
+/// Drives a fleet for `quanta` steps at `tolerance` under `wake`, against
+/// a platform mirroring each app's declared effects exactly. `budget_step`
+/// applies a mid-run budget change (the whole-fleet invalidation path);
+/// `late` registers one more app at the start of the given quantum.
+#[allow(clippy::too_many_arguments)]
 fn drive_traced(
     policy: Box<dyn ArbitrationPolicy>,
     slots: &[Slot],
     quanta: usize,
     workers: usize,
-    tolerance: Option<f64>,
-    budget_step: Option<(usize, f64)>,
-    wake: Option<WakeConfig>,
+    tolerance: f64,
+    wake: WakeConfig,
+    budget_step: (usize, f64),
+    late: (usize, Slot),
 ) -> Trace {
     let mut coordinator = Coordinator::new(35.0, policy)
         .with_workers(workers)
-        .with_shard_threshold(0);
-    coordinator.set_arbitration_tolerance(tolerance);
-    coordinator.set_wake_schedule(wake);
-    let handles: Vec<AppHandle> = slots
+        .with_shard_threshold(0)
+        .with_arbitration_tolerance(tolerance)
+        .with_wake_schedule(wake);
+    let mut handles: Vec<AppHandle> = slots
         .iter()
         .enumerate()
         .map(|(index, &slot)| coordinator.register(managed(slot, index)))
@@ -374,10 +374,11 @@ fn drive_traced(
     let mut now = 0.0;
     let mut trace = Trace::new();
     for quantum in 0..quanta {
-        if let Some((at, watts)) = budget_step {
-            if at == quantum {
-                coordinator.set_budget(watts);
-            }
+        if budget_step.0 == quantum {
+            coordinator.set_budget(budget_step.1);
+        }
+        if late.0 == quantum {
+            handles.push(coordinator.register(managed(late.1, handles.len())));
         }
         now += 1.0;
         for &handle in &handles {
@@ -420,82 +421,55 @@ fn drive_traced(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A coordinator at tolerance 0 — through the whole incremental
-    /// machinery, sharded across a generated worker count — produces
-    /// bitwise the awards, summaries, and per-app decisions of a legacy
-    /// (knob off, sequential) coordinator, through arrival/departure churn
-    /// and a mid-run budget step.
+    /// Sharding is invisible on the engine's most stateful configuration:
+    /// at a positive tolerance with the wake scheduler on, under every
+    /// shipped policy, through arrivals, departures, a mid-run
+    /// registration, and a budget step, the traced run at 2–6 workers —
+    /// awards by bits, step summaries, per-app decisions — equals the run
+    /// at 1 worker.
     #[test]
-    fn coordinator_tolerance_zero_matches_legacy_at_every_worker_count(
+    fn scheduled_incremental_step_is_bit_identical_at_every_worker_count(
         seeds in proptest::collection::vec(1u64..1_000_000, 1..7),
         weights in proptest::collection::vec(0.25..8.0f64, 7),
         targets in proptest::collection::vec(5.0..80.0f64, 7),
         arrivals in proptest::collection::vec(0usize..10, 7),
         departures in proptest::collection::vec(0usize..10, 7),
-        policy_pick in 0usize..3,
-        workers in 1usize..7,
-        budget_step_at in 0usize..10,
-        budget_step_watts in 10.0..60.0f64,
-    ) {
-        let quanta = 10;
-        let slots = decode_slots(&seeds, &weights, &targets, &arrivals, &departures, quanta);
-        let budget_step = Some((budget_step_at, budget_step_watts));
-        let policy = || policies().swap_remove(policy_pick);
-        let legacy = drive_traced(policy(), &slots, quanta, 1, None, budget_step, None);
-        let incremental =
-            drive_traced(policy(), &slots, quanta, workers, Some(0.0), budget_step, None);
-        prop_assert!(
-            legacy == incremental,
-            "tolerance-0 incremental diverged from the legacy path at {} workers over {} apps",
-            workers,
-            slots.len()
-        );
-    }
-
-    /// A wake schedule with horizon 0 is configuration, not behaviour: at
-    /// every worker count, every policy, and any `steady_quanta`, the
-    /// traced run — awards by bits, step summaries, per-app decisions —
-    /// is identical to the same coordinator with no wake schedule at all.
-    /// This is the second level of the differential pin: the first
-    /// (tolerance 0 vs legacy) proves the incremental engine is inert,
-    /// this one proves the scheduler riding on it is.
-    #[test]
-    fn coordinator_horizon_zero_matches_plain_incremental_at_every_worker_count(
-        seeds in proptest::collection::vec(1u64..1_000_000, 1..7),
-        weights in proptest::collection::vec(0.25..8.0f64, 7),
-        targets in proptest::collection::vec(5.0..80.0f64, 7),
-        arrivals in proptest::collection::vec(0usize..10, 7),
-        departures in proptest::collection::vec(0usize..10, 7),
-        policy_pick in 0usize..3,
-        workers in 1usize..7,
         tolerance in 0.001..0.5f64,
-        steady in 1u32..9,
+        steady in 1u32..4,
+        horizon in 1usize..33,
         budget_step_at in 0usize..10,
         budget_step_watts in 10.0..60.0f64,
+        register_at in 1usize..10,
+        late_seed in 1u64..1_000_000,
+        late_target in 5.0..80.0f64,
     ) {
         let quanta = 10;
         let slots = decode_slots(&seeds, &weights, &targets, &arrivals, &departures, quanta);
-        let budget_step = Some((budget_step_at, budget_step_watts));
-        let policy = || policies().swap_remove(policy_pick);
-        let plain =
-            drive_traced(policy(), &slots, quanta, workers, Some(tolerance), budget_step, None);
-        let gated = drive_traced(
-            policy(),
-            &slots,
-            quanta,
-            workers,
-            Some(tolerance),
-            budget_step,
-            Some(WakeConfig { steady_quanta: steady, horizon: 0 }),
-        );
-        prop_assert!(
-            plain == gated,
-            "a horizon-0 wake schedule (steady_quanta {}) diverged from the plain \
-             incremental path at {} workers over {} apps",
-            steady,
-            workers,
-            slots.len()
-        );
+        let wake = WakeConfig { steady_quanta: steady, horizon };
+        let late = Slot {
+            seed: late_seed,
+            weight: 1.0,
+            target: late_target,
+            arrival: register_at,
+            departure: None,
+        };
+        let budget_step = (budget_step_at, budget_step_watts);
+        for policy_pick in 0..3 {
+            let run = |workers| {
+                let policy = policies().swap_remove(policy_pick);
+                drive_traced(policy, &slots, quanta, workers, tolerance, wake, budget_step, (register_at, late))
+            };
+            let sequential = run(1);
+            for workers in 2..=6 {
+                prop_assert!(
+                    sequential == run(workers),
+                    "{} at tolerance {tolerance} with wake ({steady}, {horizon}) diverged \
+                     at {workers} workers over {} apps",
+                    policies()[policy_pick].name(),
+                    slots.len() + 1
+                );
+            }
+        }
     }
 
     /// With the wake scheduler live, every active app-quantum lands in

@@ -212,15 +212,11 @@ fn run_flat_probe(server: &XeonServer, scenario: &Scenario, seed: u64) -> ProbeM
         .with_pool(std::sync::Arc::clone(exec::global_pool_arc()))
         .with_admission_control(true)
         .with_admission_feasibility(true);
-    if scenario.arbitration_tolerance > 0.0 {
-        coordinator.set_arbitration_tolerance(Some(scenario.arbitration_tolerance));
-    }
-    if scenario.wake_horizon > 0 {
-        coordinator.set_wake_schedule(Some(coordinator::WakeConfig {
-            steady_quanta: scenario.wake_steady_quanta,
-            horizon: scenario.wake_horizon,
-        }));
-    }
+    coordinator.set_arbitration_tolerance(scenario.arbitration_tolerance);
+    coordinator.set_wake_schedule(coordinator::WakeConfig {
+        steady_quanta: scenario.wake_steady_quanta,
+        horizon: scenario.wake_horizon,
+    });
     let mut handles: Vec<Option<AppHandle>> = vec![None; apps.len()];
     let mut oscillations =
         vec![OscillationTracker::new(budget * OSCILLATION_THRESHOLD_FRACTION); apps.len()];
@@ -399,15 +395,11 @@ fn run_hierarchy_probe(server: &XeonServer, scenario: &Scenario, seed: u64) -> P
     for rack in 0..racks {
         let mut rack_coordinator = Coordinator::new(budget, market())
             .with_pool(std::sync::Arc::clone(exec::global_pool_arc()));
-        if scenario.arbitration_tolerance > 0.0 {
-            rack_coordinator.set_arbitration_tolerance(Some(scenario.arbitration_tolerance));
-        }
-        if scenario.wake_horizon > 0 {
-            rack_coordinator.set_wake_schedule(Some(coordinator::WakeConfig {
-                steady_quanta: scenario.wake_steady_quanta,
-                horizon: scenario.wake_horizon,
-            }));
-        }
+        rack_coordinator.set_arbitration_tolerance(scenario.arbitration_tolerance);
+        rack_coordinator.set_wake_schedule(coordinator::WakeConfig {
+            steady_quanta: scenario.wake_steady_quanta,
+            horizon: scenario.wake_horizon,
+        });
         datacenter.add_rack(RackCoordinator::new(
             format!("rack-{rack}"),
             rack_coordinator,

@@ -29,7 +29,7 @@ pub struct RegistryStats {
 /// [`HeartbeatMonitor::observation`] exists for the hot observe path: the
 /// SEEC runtime previously took five independent read locks per decision
 /// (stats, goal, goal-met, last beat, power); a snapshot takes one.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MonitorObservation {
     /// Heart-rate statistics over the window.
     pub stats: HeartRateStats,
