@@ -3,6 +3,7 @@
 //! adaptation, SEEC, and the oracles.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use experiments::fig3::Figure3Spec;
 use experiments::Figure3;
 
 fn fig3(c: &mut Criterion) {
@@ -11,11 +12,19 @@ fn fig3(c: &mut Criterion) {
     // A reduced quantum count keeps each iteration affordable; the printed
     // report below uses a longer run.
     group.bench_function("five_benchmarks_all_baselines", |b| {
-        b.iter(|| Figure3::compute_with(2012, 20))
+        b.iter(|| {
+            Figure3::compute(&Figure3Spec {
+                quanta_per_run: 20,
+                ..Figure3Spec::default()
+            })
+        })
     });
     group.finish();
 
-    let figure = Figure3::compute_with(2012, 60);
+    let figure = Figure3::compute(&Figure3Spec {
+        quanta_per_run: 60,
+        ..Figure3Spec::default()
+    });
     println!("\n{}", figure.to_table());
 }
 

@@ -96,17 +96,16 @@ fn sample<F: FnMut() -> usize>(samples: usize, mut routine: F) -> (Summary, f64)
 }
 
 fn bench_fig3(samples: usize, mode: &'static str) -> Fig3Bench {
-    let seed = 2012;
-    let quanta = experiments::fig3::QUANTA_PER_RUN;
+    let spec = experiments::fig3::Figure3Spec::default();
     let (summary, _) = sample(samples, || {
-        black_box(Figure3::compute_with(seed, quanta));
+        black_box(Figure3::compute(&spec));
         1
     });
     let median_seconds = summary.median.as_secs_f64();
     Fig3Bench {
         mode,
-        seed,
-        quanta_per_run: quanta,
+        seed: spec.seed,
+        quanta_per_run: spec.quanta_per_run,
         wall_clock: TimingSummary::from_summary(&summary, "seconds", 1.0),
         pre_optimization_baseline_seconds: PRE_OPTIMIZATION_FIG3_SECONDS,
         speedup_vs_baseline: PRE_OPTIMIZATION_FIG3_SECONDS / median_seconds,

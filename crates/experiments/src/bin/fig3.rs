@@ -10,9 +10,7 @@
 //! ROADMAP's phase-stale-beliefs probe — and write the sweep to
 //! `fig3_belief_aging.json`. The default outputs are unchanged either way.
 
-use experiments::fig3::{
-    ConvexTuning, BELIEF_AGING_HALFLIVES, CONVEX_PROTOCOL_LEAK, QUANTA_PER_RUN,
-};
+use experiments::fig3::{ConvexTuning, Figure3Spec, BELIEF_AGING_HALFLIVES, CONVEX_PROTOCOL_LEAK};
 use experiments::Figure3;
 use serde::Serialize;
 use xeon_sim::XeonServer;
@@ -66,7 +64,7 @@ fn main() {
     let leaky = args.iter().any(|arg| arg == "--leaky-pi");
     let belief_aging = args.iter().any(|arg| arg == "--belief-aging");
 
-    let figure = Figure3::compute();
+    let figure = Figure3::compute(&Figure3Spec::default());
     println!("Figure 3 — SEEC on the Xeon E5530 server, perf/W normalised to the dynamic oracle\n");
     println!("{}", figure.to_table());
     match serde_json::to_string_pretty(&figure) {
@@ -82,14 +80,24 @@ fn main() {
 
     // Both studies compare against the same calibrated classical baseline;
     // compute it once when either flag asks for it.
-    let server = XeonServer::dell_r410_calibrated();
-    let classical = (leaky || belief_aging)
-        .then(|| Figure3::compute_on(&server, 2012, QUANTA_PER_RUN));
+    let calibrated = Figure3Spec {
+        server: XeonServer::dell_r410_calibrated(),
+        ..Figure3Spec::default()
+    };
+    let tuned = |tuning: ConvexTuning| {
+        Figure3::compute(&Figure3Spec {
+            tuning,
+            ..calibrated.clone()
+        })
+    };
+    let classical = (leaky || belief_aging).then(|| Figure3::compute(&calibrated));
 
     if leaky {
         let classical = classical.clone().expect("computed when --leaky-pi is set");
-        let leaky =
-            Figure3::compute_on_with_leak(&server, 2012, QUANTA_PER_RUN, CONVEX_PROTOCOL_LEAK);
+        let leaky = tuned(ConvexTuning {
+            leak: CONVEX_PROTOCOL_LEAK,
+            ..ConvexTuning::default()
+        });
         let comparison = LeakyComparison {
             leak: CONVEX_PROTOCOL_LEAK,
             classical_mean_seec_vs_dynamic_oracle: mean_seec_ratio(&classical),
@@ -118,15 +126,10 @@ fn main() {
         let arms: Vec<BeliefAgingArm> = BELIEF_AGING_HALFLIVES
             .iter()
             .map(|&halflife_periods| {
-                let figure = Figure3::compute_on_tuned(
-                    &server,
-                    2012,
-                    QUANTA_PER_RUN,
-                    ConvexTuning {
-                        belief_halflife: halflife_periods,
-                        ..ConvexTuning::default()
-                    },
-                );
+                let figure = tuned(ConvexTuning {
+                    belief_halflife: halflife_periods,
+                    ..ConvexTuning::default()
+                });
                 let mean = mean_seec_ratio(&figure);
                 println!(
                     "  halflife {halflife_periods:>4.0} periods:   SEEC at {mean:.3} \

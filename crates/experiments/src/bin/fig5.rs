@@ -40,9 +40,10 @@
 
 use std::sync::Arc;
 
-use experiments::{Figure5, Figure5Hierarchy, FigureChaos, FigureEnforce};
+use experiments::{Figure5, Figure5Hierarchy, FigureChaos, FigureEnforce, RunSpec};
 use obs::{ObsSnapshot, Recorder, Stage};
 use serde::Serialize;
+use workloads::{chaos_mixes, extended_scenario_mixes, scenario_mixes};
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -93,14 +94,21 @@ fn main() {
         None
     };
 
-    let figure = match merged.as_mut() {
-        Some(merged) => {
-            let (figure, snapshot) = Figure5::compute_obs();
-            merged.merge(&snapshot);
-            figure
-        }
-        None => Figure5::compute(),
+    // Every figure runs at the canonical seed; with --obs each returns its
+    // merged telemetry, folded into the report in figure order.
+    let observe = merged.is_some();
+    let spec = |scenarios| RunSpec {
+        observe,
+        ..RunSpec::new(2012, scenarios)
     };
+    let mut record = |snapshot: Option<ObsSnapshot>| {
+        if let (Some(merged), Some(snapshot)) = (merged.as_mut(), snapshot) {
+            merged.merge(&snapshot);
+        }
+    };
+
+    let (figure, snapshot) = Figure5::compute(&spec(scenario_mixes(2012)));
+    record(snapshot);
     println!(
         "Figure 5 — multi-application SEEC on the calibrated R410 under a machine power budget\n"
     );
@@ -108,14 +116,8 @@ fn main() {
     write_figure(&figure, "fig5.json");
 
     if extended {
-        let figure = match merged.as_mut() {
-            Some(merged) => {
-                let (figure, snapshot) = Figure5::compute_extended_obs();
-                merged.merge(&snapshot);
-                figure
-            }
-            None => Figure5::compute_extended(),
-        };
+        let (figure, snapshot) = Figure5::compute(&spec(extended_scenario_mixes(2012)));
+        record(snapshot);
         println!(
             "\nExtended scenario family — runtime lifecycle, budget steps, sharded coordinator\n"
         );
@@ -124,14 +126,8 @@ fn main() {
     }
 
     if hierarchy {
-        let figure = match merged.as_mut() {
-            Some(merged) => {
-                let (figure, snapshot) = Figure5Hierarchy::compute_obs();
-                merged.merge(&snapshot);
-                figure
-            }
-            None => Figure5Hierarchy::compute(),
-        };
+        let (figure, snapshot) = Figure5Hierarchy::compute(&spec(extended_scenario_mixes(2012)));
+        record(snapshot);
         println!(
             "\nHierarchical coordination — the rack-tagged extended mixes, budget flowing \
              datacenter → rack → app\n"
@@ -141,14 +137,8 @@ fn main() {
     }
 
     if chaos || enforce {
-        let figure = match merged.as_mut() {
-            Some(merged) => {
-                let (figure, snapshot) = FigureChaos::compute_obs();
-                merged.merge(&snapshot);
-                figure
-            }
-            None => FigureChaos::compute(),
-        };
+        let (figure, snapshot) = FigureChaos::compute(&spec(chaos_mixes(2012)));
+        record(snapshot);
         if chaos {
             println!(
                 "\nChaos — fault-injected mixes under degradation and rack enforcement\n"

@@ -2,7 +2,8 @@
 //!
 //! Seeds the corpus with the hand-written scenario vocabulary, mutates
 //! scenarios under a fixed per-run seed, executes every candidate through
-//! the instrumented fig5 pipelines ([`experiments::fuzz::fuzz_probe`]),
+//! the shipped scenario runner plus its oracle hook
+//! ([`experiments::fuzz::fuzz_probe`]),
 //! keeps mutants whose behavior signature is new, and shrinks every
 //! incident to a minimal reproducer. Fully deterministic: the same
 //! `--seed` and `--iterations` produce byte-identical corpus and report.

@@ -15,9 +15,10 @@
 //!   rack's breaker ([`EnforcementMode::Clamp`]) physically throttles the
 //!   rack to its awarded envelope.
 //! * **coordinated-degraded/audit** — the watchdog ladder
-//!   ([`Coordinator::with_watchdog`]) plus admission control: faulty apps
-//!   are quarantined onto the floor envelope and readmitted when they
-//!   recover; overdraw is still only audited.
+//!   ([`Coordinator::with_watchdog`](coordinator::Coordinator::with_watchdog))
+//!   plus admission control: faulty apps are quarantined onto the floor
+//!   envelope and readmitted when they recover; overdraw is still only
+//!   audited.
 //! * **coordinated-degraded/clamp** — degradation *and* the breaker: the
 //!   watchdog handles what telemetry reveals (stalls, crashes, non-finite
 //!   or inflated reports), the breaker contains what it cannot —
@@ -35,25 +36,16 @@
 //! the *healthy* population — the fairness cost any defence must be
 //! judged by.
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use coordinator::{
-    AppHandle, Coordinator, DatacenterArbiter, EnforcementMode, HealthState, PerformanceMarket,
-    RackCoordinator, WatchdogConfig,
-};
-use obs::{Counter, ObsSnapshot, Recorder};
-use seec::UncoordinatedRuntime;
+use coordinator::{EnforcementMode, HealthState, WatchdogConfig};
+use obs::ObsSnapshot;
 use serde::{Deserialize, Serialize};
-use workloads::{chaos_mixes, FaultKind, HeartbeatedWorkload, Scenario};
-use xeon_sim::{MachineMeter, XeonServer};
+use workloads::{FaultKind, Scenario};
+use xeon_sim::XeonServer;
 
-use crate::driver::{run_cells, to_server_demand};
-use crate::faults::FaultRuntime;
-use crate::fig3::{map_configuration, xeon_actuators};
-use crate::fig5::{
-    build_apps, datacenter_budget_watts, heartbeated, managed_for, tuned, AppSim, RuntimeBlock,
-    QUANTUM_SECONDS,
+use crate::fig3::Adaptation;
+use crate::fig5::{datacenter_budget_watts, RuntimeBlock};
+use crate::run::{
+    fleet_watchdog, run_arms, Control, Coordination, Layout, RunResult, RunSpec, ScenarioRun,
 };
 
 /// One application's fate in one chaos cell.
@@ -112,7 +104,8 @@ pub struct ChaosArmOutcome {
     /// Worst quanta-to-quarantine over detectably-faulty apps that were
     /// quarantined.
     pub max_time_to_quarantine: Option<usize>,
-    /// Total breaker activations across racks ([`RackCoordinator::clamp_events`]).
+    /// Total breaker activations across racks
+    /// ([`RackCoordinator::clamp_events`](coordinator::RackCoordinator::clamp_events)).
     pub clamp_events: u64,
     /// Total energy the breakers refused, in joules.
     pub shed_joules: f64,
@@ -219,84 +212,34 @@ pub struct FigureEnforce {
     pub scenarios: Vec<EnforceScenarioResult>,
 }
 
-/// Which regime a chaos cell runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum ChaosArm {
-    Uncoordinated,
-    Coordinated {
-        degradation: bool,
-        enforcement: EnforcementMode,
-    },
-}
-
-impl ChaosArm {
-    pub(crate) const ALL: [ChaosArm; 5] = [
-        ChaosArm::Uncoordinated,
-        ChaosArm::Coordinated {
-            degradation: false,
-            enforcement: EnforcementMode::Audit,
-        },
-        ChaosArm::Coordinated {
-            degradation: false,
+/// The chaos regimes, in cell order: uncoordinated, then the rack →
+/// datacenter hierarchy (a single-rack scenario is simply a one-rack
+/// datacenter) naive or degraded (watchdog + admission control), each
+/// behind audit-only or clamping rack enforcement.
+const ARMS: [(&str, Control); 5] = [
+    ("uncoordinated", Control::Local(Adaptation::Uncoordinated)),
+    ("coordinated-naive/audit", Control::Racks(Coordination::MARKET)),
+    ("coordinated-naive/clamp", Control::Racks(CLAMP)),
+    ("coordinated-degraded/audit", Control::Racks(DEGRADED)),
+    (
+        "coordinated-degraded/clamp",
+        Control::Racks(Coordination {
             enforcement: EnforcementMode::Clamp,
-        },
-        ChaosArm::Coordinated {
-            degradation: true,
-            enforcement: EnforcementMode::Audit,
-        },
-        ChaosArm::Coordinated {
-            degradation: true,
-            enforcement: EnforcementMode::Clamp,
-        },
-    ];
+            ..DEGRADED
+        }),
+    ),
+];
 
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            ChaosArm::Uncoordinated => "uncoordinated",
-            ChaosArm::Coordinated {
-                degradation: false,
-                enforcement: EnforcementMode::Audit,
-            } => "coordinated-naive/audit",
-            ChaosArm::Coordinated {
-                degradation: false,
-                enforcement: EnforcementMode::Clamp,
-            } => "coordinated-naive/clamp",
-            ChaosArm::Coordinated {
-                degradation: true,
-                enforcement: EnforcementMode::Audit,
-            } => "coordinated-degraded/audit",
-            ChaosArm::Coordinated {
-                degradation: true,
-                enforcement: EnforcementMode::Clamp,
-            } => "coordinated-degraded/clamp",
-        }
-    }
-}
+const CLAMP: Coordination = Coordination {
+    enforcement: EnforcementMode::Clamp,
+    ..Coordination::MARKET
+};
 
-/// The watchdog thresholds a chaos cell runs: the defaults, with the
-/// quarantine floor raised to the fleet's most expensive cheapest
-/// configuration so an honest quarantined app (whose floor-capped decide
-/// lands it in its cheapest configuration) can always requalify under the
-/// overdraw rule, and the overdraw tolerance opened to 1.75x. The tolerance
-/// has to clear the fleet's *steady-state* calibration error — on this
-/// platform an honest app squeezed under a tight rack budget can draw
-/// ~1.5x its award for as long as the squeeze lasts (the model believes
-/// the cheap config it was put in, the rail disagrees) — while staying
-/// under the 3x a deliberate misreporter shows at fault onset (the
-/// market re-converges toward a self-consistent lie within a few quanta,
-/// so the threshold must catch the transient before award inflation
-/// closes the gap).
-pub(crate) fn chaos_watchdog(apps: &[AppSim]) -> WatchdogConfig {
-    let default = WatchdogConfig::default();
-    WatchdogConfig {
-        quarantine_floor_watts: apps
-            .iter()
-            .map(|sim| sim.launch_power_watts)
-            .fold(default.quarantine_floor_watts, f64::max),
-        overdraw_tolerance: 0.75,
-        ..default
-    }
-}
+const DEGRADED: Coordination = Coordination {
+    admission: true,
+    watchdog: true,
+    ..Coordination::MARKET
+};
 
 /// Whether `kind` is visible to the watchdog's telemetry rules under
 /// `config` (see [`ChaosAppOutcome::detectable`]).
@@ -317,245 +260,16 @@ fn health_label(state: HealthState) -> &'static str {
     }
 }
 
-/// The per-app decision state of one chaos regime.
-enum ChaosControl {
-    Uncoordinated(Box<UncoordinatedRuntime>, HeartbeatedWorkload),
-    /// Handle within the app's rack coordinator.
-    Managed(Option<AppHandle>),
-}
-
-/// Runs one (scenario, regime) chaos cell.
-///
-/// Every coordinated regime uses the rack → datacenter hierarchy (a
-/// single-rack scenario is simply a one-rack datacenter), so the same
-/// runner measures machine-level storms and rack-level rogues. Physical
-/// accounting follows [`crate::fig5::run_hierarchy_cell`]: racks admit
-/// the rail draw first ([`RackCoordinator::admit`] — the enforcement
-/// point), the datacenter meter and attainment accumulate the admitted
-/// truth, and coordinators receive only what the fault plan lets each app
-/// claim.
-pub(crate) fn run_chaos_cell(
-    server: &XeonServer,
-    scenario: &Scenario,
-    arm: ChaosArm,
-    seed: u64,
-    observer: Option<&Arc<Recorder>>,
-) -> ChaosArmOutcome {
-    let started = Instant::now();
-    let mut peak_fleet: u64 = 0;
-    let mut apps = build_apps(server, scenario);
-    let racks = scenario.rack_count();
-    let budget_range = (server.max_power_watts() - server.idle_power_watts()) * racks as f64;
-    let budget = datacenter_budget_watts(server, scenario);
-    let mut meter = MachineMeter::new(budget);
-    let mut faults = FaultRuntime::for_plan(&scenario.fault_plan, apps.len());
-    let watchdog = chaos_watchdog(&apps);
-
-    let mut datacenter_state: Option<DatacenterArbiter> = match arm {
-        ChaosArm::Uncoordinated => None,
-        ChaosArm::Coordinated {
-            degradation,
-            enforcement,
-        } => {
-            let mut datacenter =
-                DatacenterArbiter::new(budget, Box::new(PerformanceMarket::default()));
-            for rack in 0..racks {
-                let mut coordinator =
-                    Coordinator::new(budget, Box::new(PerformanceMarket::default()))
-                        .with_pool(std::sync::Arc::clone(exec::global_pool_arc()));
-                if degradation {
-                    coordinator = coordinator
-                        .with_watchdog(watchdog)
-                        .with_admission_control(true);
-                }
-                datacenter.add_rack(
-                    RackCoordinator::new(format!("rack-{rack}"), coordinator)
-                        .with_enforcement(enforcement),
-                );
-            }
-            Some(datacenter)
-        }
-    };
-    if let (Some(observer), Some(datacenter)) = (observer, datacenter_state.as_mut()) {
-        datacenter.set_obs(Some(Arc::clone(observer)));
-    }
-
-    let mut controllers: Vec<ChaosControl> = apps
-        .iter()
-        .enumerate()
-        .map(|(index, sim)| match arm {
-            ChaosArm::Uncoordinated => {
-                let driver = heartbeated(sim);
-                let runtime = UncoordinatedRuntime::new_with(
-                    &driver.monitor(),
-                    xeon_actuators(server),
-                    seed.wrapping_add(index as u64),
-                    tuned,
-                )
-                .expect("actuators registered");
-                ChaosControl::Uncoordinated(Box::new(runtime), driver)
-            }
-            ChaosArm::Coordinated { .. } => ChaosControl::Managed(None),
-        })
-        .collect();
-
-    let mut now = 0.0;
-    let mut per_app_power = vec![0.0f64; apps.len()];
-    let mut rates = vec![0.0f64; apps.len()];
-    let mut rack_core_duty = vec![0.0f64; racks];
-    for quantum in 0..scenario.quanta {
-        let start = now;
-        now += QUANTUM_SECONDS;
-
-        // ---- Lifecycle: budget steps bind the meter; arrivals register
-        // with their rack, departures retire.
-        let cap = scenario.budget_fraction_at(quantum) * budget_range;
-        if cap != meter.cap_watts() {
-            meter.set_cap(cap);
-        }
-        if let Some(datacenter) = datacenter_state.as_mut() {
-            for (index, sim) in apps.iter().enumerate() {
-                let never_active = sim.spec.departure.is_some_and(|d| d <= sim.spec.arrival);
-                if sim.spec.arrival == quantum && !never_active {
-                    let managed = managed_for(server, sim, seed, index);
-                    controllers[index] = ChaosControl::Managed(Some(
-                        datacenter.rack_mut(sim.spec.rack).register(managed),
-                    ));
-                }
-                if sim.spec.departure == Some(quantum) {
-                    if let ChaosControl::Managed(Some(handle)) = controllers[index] {
-                        datacenter.rack_mut(sim.spec.rack).retire(handle);
-                    }
-                }
-            }
-
-            // ---- Arbitrate and decide at the start of the quantum (the
-            // hierarchy discipline): envelopes bind before any watt is
-            // drawn, budget steps included.
-            if cap != datacenter.budget_watts() {
-                datacenter.set_budget(cap);
-            }
-            datacenter.step(start).expect("every app declares a goal");
-        }
-
-        // ---- Evaluate every active app under its current configuration.
-        rack_core_duty.fill(0.0);
-        let mut active_count: u64 = 0;
-        for (index, sim) in apps.iter().enumerate() {
-            per_app_power[index] = 0.0;
-            rates[index] = 0.0;
-            if !sim.active_at(quantum) {
-                continue;
-            }
-            active_count += 1;
-            if faults.as_ref().is_some_and(|f| !f.executes(index, quantum)) {
-                continue; // crashed: no cycles, no watts
-            }
-            let configuration = match &controllers[index] {
-                ChaosControl::Uncoordinated(runtime, _) => {
-                    map_configuration(server, &runtime.joint_configuration())
-                }
-                ChaosControl::Managed(handle) => {
-                    let handle = handle.expect("active apps have registered");
-                    let datacenter = datacenter_state.as_ref().expect("coordinated arm");
-                    map_configuration(
-                        server,
-                        datacenter
-                            .rack(sim.spec.rack)
-                            .coordinator()
-                            .app(handle)
-                            .runtime()
-                            .current_configuration(),
-                    )
-                }
-            };
-            let report = server.evaluate(&to_server_demand(sim.demand_at(quantum)), &configuration);
-            rates[index] = report.work_units / report.seconds;
-            per_app_power[index] = report.power_above_idle_watts;
-            rack_core_duty[sim.spec.rack] +=
-                configuration.cores as f64 * configuration.active_cycle_fraction;
-        }
-
-        // ---- Time-multiplex each rack's machine independently.
-        let rack_contention: Vec<f64> = rack_core_duty
-            .iter()
-            .map(|&duty| {
-                if duty > server.total_cores() as f64 {
-                    server.total_cores() as f64 / duty
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-
-        let mut machine_power = 0.0;
-        for (index, sim) in apps.iter_mut().enumerate() {
-            if !sim.active_at(quantum) {
-                continue;
-            }
-            let contention = rack_contention[sim.spec.rack];
-            let mut work = rates[index] * contention * QUANTUM_SECONDS;
-            let mut power = per_app_power[index] * contention;
-            // The rack admits the rail draw first: under Clamp the breaker
-            // physically gates the app, so the admitted values *are* the
-            // ground truth everything downstream meters.
-            if let ChaosControl::Managed(Some(_)) = &controllers[index] {
-                (work, power) = datacenter_state
-                    .as_mut()
-                    .expect("coordinated arm")
-                    .rack_mut(sim.spec.rack)
-                    .admit(start, now, work, power);
-            }
-            machine_power += power;
-            sim.active_seconds += QUANTUM_SECONDS;
-            sim.work_done += work;
-            // Telemetry: whatever the fault plan lets the app claim about
-            // the (possibly throttled) quantum it just ran.
-            let report = match faults.as_mut() {
-                None => Some((work, power)),
-                Some(f) => f.report(index, quantum, work, power),
-            };
-            let Some((reported_work, reported_power)) = report else {
-                continue; // stalled pipe or dead app: nothing arrives
-            };
-            match &mut controllers[index] {
-                ChaosControl::Uncoordinated(_, driver) => {
-                    driver.advance_metered(start, now, reported_work, reported_power);
-                }
-                ChaosControl::Managed(handle) => {
-                    let handle = handle.expect("active apps have registered");
-                    datacenter_state
-                        .as_mut()
-                        .expect("coordinated arm")
-                        .rack_mut(sim.spec.rack)
-                        .advance_report(handle, start, now, reported_work, reported_power);
-                }
-            }
-        }
-        peak_fleet = peak_fleet.max(active_count);
-        let violations_before = meter.violation_intervals();
-        meter.record(QUANTUM_SECONDS, machine_power);
-        if let Some(observer) = observer {
-            observer.observe_fleet_size(active_count);
-            observer.add(
-                Counter::DatacenterMeterViolations,
-                meter.violation_intervals() - violations_before,
-            );
-        }
-
-        // ---- Uncoordinated apps decide at end of quantum.
-        for (index, sim) in apps.iter().enumerate() {
-            if !sim.active_at(quantum) {
-                continue;
-            }
-            if let ChaosControl::Uncoordinated(runtime, _) = &mut controllers[index] {
-                runtime.decide(now).expect("goal declared");
-            }
-        }
-    }
-
-    // ---- Per-app verdicts.
-    let app_outcomes: Vec<ChaosAppOutcome> = apps
+/// Summarises one finished chaos cell: per-app watchdog verdicts and the
+/// arm aggregates. Metrics are physical — the datacenter meter and
+/// attainment accumulated the admitted rail draw — while each coordinator
+/// only ever saw what the fault plan let its apps claim.
+fn chaos_outcome(name: &str, scenario: &Scenario, run: &RunResult) -> ChaosArmOutcome {
+    let watchdog = fleet_watchdog(&run.fleet.apps);
+    let coordinated = !run.fleet.platform.racks().is_empty();
+    let app_outcomes: Vec<ChaosAppOutcome> = run
+        .fleet
+        .apps
         .iter()
         .enumerate()
         .map(|(index, sim)| {
@@ -571,24 +285,20 @@ pub(crate) fn run_chaos_cell(
                 .faults
                 .iter()
                 .any(|fault| fault.app == index && watchdog_visible(fault.kind, &watchdog));
-            let (health, quarantined_at, readmitted_at) = match &controllers[index] {
-                ChaosControl::Uncoordinated(..) => ("unmanaged".to_string(), None, None),
-                ChaosControl::Managed(Some(handle)) => {
-                    let datacenter = datacenter_state.as_ref().expect("coordinated arm");
-                    let app = datacenter.rack(sim.spec.rack).coordinator().app(*handle);
-                    (
-                        health_label(app.health_state()).to_string(),
-                        app.quarantined_at(),
-                        app.readmitted_at(),
-                    )
-                }
-                ChaosControl::Managed(None) => ("healthy".to_string(), None, None),
+            let (health, quarantined_at, readmitted_at) = match run.fleet.managed(index) {
+                _ if !coordinated => ("unmanaged", None, None),
+                Some(app) => (
+                    health_label(app.health_state()),
+                    app.quarantined_at(),
+                    app.readmitted_at(),
+                ),
+                None => ("healthy", None, None),
             };
             ChaosAppOutcome {
                 index,
                 faulty: scenario.fault_plan.targets_app(index),
                 detectable,
-                health,
+                health: health.to_string(),
                 quarantined_at,
                 time_to_quarantine: quarantined_at
                     .zip(first_fault)
@@ -599,9 +309,7 @@ pub(crate) fn run_chaos_cell(
         })
         .collect();
 
-    // ---- Arm aggregates.
-    let attainments: Vec<f64> = apps.iter().map(AppSim::attainment).collect();
-    let goal_attainment = attainments.iter().sum::<f64>() / attainments.len().max(1) as f64;
+    let goal_attainment = run.goal_attainment();
     let healthy: Vec<f64> = app_outcomes
         .iter()
         .filter(|app| !app.faulty)
@@ -612,32 +320,13 @@ pub(crate) fn run_chaos_cell(
     } else {
         healthy.iter().sum::<f64>() / healthy.len() as f64
     };
-    let mean_power = meter.mean_watts();
-    let performance_per_watt = if mean_power > 0.0 {
-        attainments.iter().sum::<f64>() / mean_power
-    } else {
-        0.0
-    };
-    let (max_rack_violation_rate, clamp_events, shed_joules) = datacenter_state
-        .as_ref()
-        .map_or((0.0, 0, 0.0), |datacenter| {
-            datacenter.racks().iter().fold(
-                (0.0f64, 0u64, 0.0f64),
-                |(violation, events, shed), rack| {
-                    (
-                        violation.max(rack.meter().violation_rate()),
-                        events + rack.clamp_events(),
-                        shed + rack.shed_joules(),
-                    )
-                },
-            )
-        });
+    let racks = run.fleet.platform.racks();
     ChaosArmOutcome {
-        name: arm.name().to_string(),
-        cap_violation_rate: meter.violation_rate(),
-        max_rack_violation_rate,
-        mean_power_watts: mean_power,
-        performance_per_watt,
+        name: name.to_string(),
+        cap_violation_rate: run.meter.violation_rate(),
+        max_rack_violation_rate: run.max_rack_violation_rate(),
+        mean_power_watts: run.meter.mean_watts(),
+        performance_per_watt: run.performance_per_watt(),
         goal_attainment,
         healthy_attainment,
         faulty_apps: app_outcomes.iter().filter(|app| app.faulty).count(),
@@ -654,86 +343,43 @@ pub(crate) fn run_chaos_cell(
             .filter(|app| app.detectable)
             .filter_map(|app| app.time_to_quarantine)
             .max(),
-        clamp_events,
-        shed_joules,
+        clamp_events: racks.iter().map(|rack| rack.clamp_events()).sum(),
+        // A fold, not `sum`: an empty f64 sum is -0.0, and rack-less arms report 0.0.
+        shed_joules: racks.iter().fold(0.0, |shed, rack| shed + rack.shed_joules()),
         apps: app_outcomes,
-        runtime: RuntimeBlock::measure(started, scenario.quanta, peak_fleet),
+        runtime: run.runtime.clone(),
     }
 }
 
 impl FigureChaos {
-    /// Runs the chaos experiment with the workspace's canonical seed.
-    pub fn compute() -> Self {
-        FigureChaos::compute_with(2012)
-    }
-
-    /// [`Self::compute`] for an explicit seed.
-    pub fn compute_with(seed: u64) -> Self {
-        FigureChaos::compute_scenarios(&chaos_mixes(seed), seed)
-    }
-
-    /// [`Self::compute`] with telemetry attached (the `fig5 --chaos
-    /// --obs` path).
-    pub fn compute_obs() -> (Self, ObsSnapshot) {
-        let (figure, snapshot) =
-            FigureChaos::compute_scenarios_obs(&chaos_mixes(2012), 2012, true);
-        (figure, snapshot.expect("observe=true yields a snapshot"))
-    }
-
-    /// Runs the experiment over explicit scenarios. Every
-    /// (scenario, regime) pair is one worker cell with a seed derived from
-    /// `(seed, scenario, regime)`, so results are identical regardless of
-    /// worker count or interleaving.
-    pub fn compute_scenarios(scenarios: &[Scenario], seed: u64) -> Self {
-        FigureChaos::compute_scenarios_obs(scenarios, seed, false).0
-    }
-
-    /// [`Self::compute_scenarios`] with telemetry (see
-    /// [`crate::fig5::Figure5::compute_scenarios_obs`] for the merge
-    /// contract).
-    pub fn compute_scenarios_obs(
-        scenarios: &[Scenario],
-        seed: u64,
-        observe: bool,
-    ) -> (Self, Option<ObsSnapshot>) {
+    /// Runs every (scenario, regime) cell of `spec` on the rack layout
+    /// (the fig5 binary runs [`workloads::chaos_mixes`] under `--chaos` /
+    /// `--enforce`).
+    pub fn compute(spec: &RunSpec) -> (Self, Option<ObsSnapshot>) {
         let server = XeonServer::dell_r410_calibrated();
-        let arms = ChaosArm::ALL;
-        let cells: Vec<(ChaosArmOutcome, Option<ObsSnapshot>)> =
-            run_cells(scenarios.len() * arms.len(), |index| {
-                let scenario = &scenarios[index / arms.len()];
-                let arm = arms[index % arms.len()];
-                let cell_seed = seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(0xc4a0_5000)
-                    .wrapping_add(index as u64);
-                let recorder = observe.then(|| Arc::new(Recorder::in_memory()));
-                let outcome = run_chaos_cell(&server, scenario, arm, cell_seed, recorder.as_ref());
-                let snapshot = recorder.map(|recorder| recorder.snapshot());
-                (outcome, snapshot)
+        let (outcomes, snapshot) =
+            run_arms(spec, ARMS.len(), 0xc4a0_5000, |scenario, arm, seed, observer| {
+                let (name, control) = ARMS[arm];
+                let layout = Layout::Racks;
+                let run = ScenarioRun { server: &server, scenario, layout, control, seed, observer }
+                    .run(|_| {});
+                chaos_outcome(name, scenario, &run)
             });
-        let snapshot = observe.then(|| {
-            let mut merged = ObsSnapshot::empty();
-            for (_, cell) in &cells {
-                if let Some(cell) = cell {
-                    merged.merge(cell);
-                }
-            }
-            merged
-        });
-        let scenarios = scenarios
+        let scenarios = spec
+            .scenarios
             .iter()
-            .zip(cells.chunks(arms.len()))
+            .zip(outcomes)
             .map(|(scenario, outcomes)| ChaosScenarioResult {
                 name: scenario.name.clone(),
                 apps: scenario.apps.len(),
                 racks: scenario.rack_count(),
                 quanta: scenario.quanta,
                 budget_watts: datacenter_budget_watts(&server, scenario),
-                uncoordinated: outcomes[0].0.clone(),
-                naive_audit: outcomes[1].0.clone(),
-                naive_clamp: outcomes[2].0.clone(),
-                degraded_audit: outcomes[3].0.clone(),
-                degraded_clamp: outcomes[4].0.clone(),
+                uncoordinated: outcomes[0].clone(),
+                naive_audit: outcomes[1].clone(),
+                naive_clamp: outcomes[2].clone(),
+                degraded_audit: outcomes[3].clone(),
+                degraded_clamp: outcomes[4].clone(),
             })
             .collect();
         (FigureChaos { scenarios }, snapshot)
@@ -792,17 +438,6 @@ impl FigureChaos {
 }
 
 impl FigureEnforce {
-    /// Runs the enforcement comparison with the workspace's canonical
-    /// seed.
-    pub fn compute() -> Self {
-        FigureEnforce::compute_with(2012)
-    }
-
-    /// [`Self::compute`] for an explicit seed.
-    pub fn compute_with(seed: u64) -> Self {
-        FigureEnforce::from_chaos(&FigureChaos::compute_with(seed))
-    }
-
     /// Derives the enforcement summary from a computed [`FigureChaos`].
     pub fn from_chaos(chaos: &FigureChaos) -> Self {
         let scenarios = chaos
@@ -851,6 +486,12 @@ impl FigureEnforce {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::Counter;
+    use workloads::chaos_mixes;
+
+    fn figure(scenarios: Vec<Scenario>, seed: u64) -> FigureChaos {
+        FigureChaos::compute(&RunSpec::new(seed, scenarios)).0
+    }
 
     /// The full chaos mixes at the canonical seed: degradation holds the
     /// physical datacenter cap, quarantines every watchdog-visible fault
@@ -858,7 +499,7 @@ mod tests {
     /// breaker zeroes rack overdraw wherever audit records it.
     #[test]
     fn degradation_contains_the_chaos_mixes() {
-        let fig = FigureChaos::compute();
+        let fig = figure(chaos_mixes(2012), 2012);
         assert_eq!(fig.scenarios.len(), 2);
 
         for scenario in &fig.scenarios {
@@ -956,10 +597,10 @@ mod tests {
     #[test]
     fn chaos_cells_are_deterministic() {
         let scenarios = chaos_mixes(7);
-        let a = FigureChaos::compute_scenarios(&scenarios, 7);
-        let b = FigureChaos::compute_scenarios(&scenarios, 7);
+        let a = figure(scenarios.clone(), 7);
+        let b = figure(scenarios.clone(), 7);
         assert_eq!(a.canonical(), b.canonical());
-        let c = FigureChaos::compute_scenarios(&scenarios, 8);
+        let c = figure(scenarios.clone(), 8);
         assert_ne!(a.canonical(), c.canonical(), "different seeds must differ");
     }
 
@@ -971,8 +612,11 @@ mod tests {
         // The canonical seed: `degradation_contains_the_chaos_mixes` pins
         // that it quarantines apps and trips breakers.
         let scenarios = chaos_mixes(2012);
-        let baseline = FigureChaos::compute_scenarios(&scenarios, 2012);
-        let (observed, snapshot) = FigureChaos::compute_scenarios_obs(&scenarios, 2012, true);
+        let baseline = figure(scenarios.clone(), 2012);
+        let (observed, snapshot) = FigureChaos::compute(&RunSpec {
+            observe: true,
+            ..RunSpec::new(2012, scenarios)
+        });
         assert_eq!(baseline.canonical(), observed.canonical());
         let snapshot = snapshot.expect("observe=true returns a snapshot");
 

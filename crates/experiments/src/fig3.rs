@@ -17,8 +17,9 @@ use xeon_sim::{ServerConfiguration, ServerReport, XeonServer};
 use crate::driver::{
     quantum_efficiency, run_cells, to_server_demand, XeonEvalTable, XeonRunOutcome,
 };
+use heartbeats::HeartbeatMonitor;
 use seec::control::PiController;
-use seec::{SeecRuntime, UncoordinatedRuntime};
+use seec::{SeecError, SeecRuntime, SeecRuntimeBuilder, UncoordinatedRuntime};
 
 /// Number of quanta each benchmark is divided into (the paper expands inputs
 /// so every run lasts much longer than the 1 s power-sampling interval).
@@ -53,9 +54,9 @@ pub const BELIEF_AGING_HALFLIVES: [f64; 4] = [8.0, 16.0, 32.0, 64.0];
 /// the convex protocol's PI controller
 /// ([`seec::control::PiController::with_leak`]): error mass absorbed over a
 /// transient decays with a ~100-period time constant instead of having to
-/// be unwound by opposite-sign errors. Default-off — [`Figure3::compute_on`]
-/// runs leak 1.0 (bit-for-bit the historical controller); opt in with
-/// [`Figure3::compute_on_with_leak`] or `fig3 --leaky-pi`. The measured
+/// be unwound by opposite-sign errors. Default-off — [`ConvexTuning`]'s
+/// default runs leak 1.0 (bit-for-bit the historical controller); opt in
+/// through [`Figure3Spec::tuning`] or `fig3 --leaky-pi`. The measured
 /// fidelity delta — the ROADMAP's "easy experiment", run and found *not* to
 /// recover the residue (leaks 0.8–0.995 all land at or slightly below the
 /// classical 0.839 of the dynamic oracle) — is recorded in EXPERIMENTS.md.
@@ -128,20 +129,39 @@ pub struct Figure3 {
     pub rows: Vec<Figure3Row>,
 }
 
+/// What one Figure-3 computation runs: the server model, the seed, the
+/// run length, and the convex protocol's [`ConvexTuning`]. The default is
+/// the paper's figure — the modelled Dell R410, seed 2012,
+/// [`QUANTA_PER_RUN`] quanta, the historical tuning.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Figure3Spec {
+    /// The server model (the calibrated R410 switches the pipeline to the
+    /// goal-respecting convex protocol; see EXPERIMENTS.md).
+    pub server: XeonServer,
+    /// Seed for workloads and runtimes.
+    pub seed: u64,
+    /// Quanta each benchmark is divided into (smaller counts are useful in
+    /// tests and benches).
+    pub quanta_per_run: usize,
+    /// Knobs of the convex protocol's closed loops. They touch only the
+    /// closed-loop SEEC and uncoordinated cells — oracles and fixed runs
+    /// are untouched, and the linear historical pipeline ignores them.
+    pub tuning: ConvexTuning,
+}
+
+impl Default for Figure3Spec {
+    fn default() -> Self {
+        Figure3Spec {
+            server: XeonServer::dell_r410(),
+            seed: 2012,
+            quanta_per_run: QUANTA_PER_RUN,
+            tuning: ConvexTuning::default(),
+        }
+    }
+}
+
 impl Figure3 {
-    /// Runs the full experiment on the modelled Dell R410.
-    pub fn compute() -> Self {
-        Figure3::compute_with(2012, QUANTA_PER_RUN)
-    }
-
-    /// Runs the experiment with an explicit seed and quantum count (smaller
-    /// counts are useful in tests and benches).
-    pub fn compute_with(seed: u64, quanta_per_run: usize) -> Self {
-        Figure3::compute_on(&XeonServer::dell_r410(), seed, quanta_per_run)
-    }
-
-    /// Runs the experiment on an explicit server model (used by the
-    /// calibrated-power-model study in EXPERIMENTS.md).
+    /// Runs the experiment `spec` describes.
     ///
     /// The pipeline evaluates every (quantum, configuration) pair at most
     /// once: the shared no-adaptation baseline comes from one streaming pass
@@ -154,45 +174,13 @@ impl Figure3 {
     /// cell owns its own seeded runtime, so results are bit-for-bit
     /// identical to the sequential pipeline regardless of worker
     /// interleaving.
-    pub fn compute_on(server: &XeonServer, seed: u64, quanta_per_run: usize) -> Self {
-        Figure3::compute_on_with_leak(server, seed, quanta_per_run, 1.0)
-    }
-
-    /// [`Self::compute_on`] with the convex protocol's PI integral made
-    /// leaky ([`CONVEX_PROTOCOL_LEAK`]; `leak = 1.0` is bit-for-bit
-    /// [`Self::compute_on`]). The leak applies to the closed-loop SEEC and
-    /// uncoordinated cells of the goal-respecting protocol only — it is a
-    /// controller experiment, so oracles and fixed runs are untouched, and
-    /// under a linear server model (where the historical pipeline runs) it
-    /// is ignored entirely.
-    pub fn compute_on_with_leak(
-        server: &XeonServer,
-        seed: u64,
-        quanta_per_run: usize,
-        leak: f64,
-    ) -> Self {
-        Figure3::compute_on_tuned(
-            server,
+    pub fn compute(spec: &Figure3Spec) -> Self {
+        let Figure3Spec {
+            ref server,
             seed,
             quanta_per_run,
-            ConvexTuning {
-                leak,
-                ..ConvexTuning::default()
-            },
-        )
-    }
-
-    /// [`Self::compute_on`] with explicit [`ConvexTuning`] knobs (the
-    /// default tuning is bit-for-bit [`Self::compute_on`]). Like the leak,
-    /// the knobs touch only the closed-loop SEEC and uncoordinated cells
-    /// of the goal-respecting protocol — oracles and fixed runs are
-    /// untouched, and the linear historical pipeline ignores them.
-    pub fn compute_on_tuned(
-        server: &XeonServer,
-        seed: u64,
-        quanta_per_run: usize,
-        tuning: ConvexTuning,
-    ) -> Self {
+            tuning,
+        } = *spec;
         // Under the convex power model the capped efficiency ratio is
         // gameable by deep under-utilisation, so selections (oracles and
         // the shared no-adaptation candidate) must respect the goal and the
@@ -200,6 +188,11 @@ impl Figure3 {
         // default keeps the historical pipeline bit-for-bit. See the
         // goal-respecting oracle docs in [`crate::driver::XeonEvalTable`].
         let convex = server.utilization_power_exponent() != 1.0;
+        let protocol = if convex {
+            Protocol::Convex(tuning)
+        } else {
+            Protocol::Historical
+        };
         // The shared no-adaptation candidates: the same (cores, clock) for
         // every application, duty fixed at 1.0, in grid order. The default
         // (fastest) configuration that defines the performance targets is
@@ -285,42 +278,15 @@ impl Figure3 {
                 (1, true) => table
                     .goal_respecting_dynamic_oracle_outcome(cell.target)
                     .performance_per_watt(cell.target),
-                (2, false) => run_seec_on_table(
+                _ => run_closed_loop(
                     server,
                     cell.benchmark,
                     &cell.quanta,
-                    &table,
                     cell.target,
                     seed,
-                )
-                .performance_per_watt(cell.target),
-                (2, true) => run_seec_convex_on_table_tuned(
-                    server,
-                    cell.benchmark,
-                    &cell.quanta,
-                    &table,
-                    cell.target,
-                    seed,
-                    tuning,
-                )
-                .performance_per_watt(cell.target),
-                (_, false) => run_uncoordinated_on_table(
-                    server,
-                    cell.benchmark,
-                    &cell.quanta,
-                    &table,
-                    cell.target,
-                    seed,
-                )
-                .performance_per_watt(cell.target),
-                (_, true) => run_uncoordinated_convex_on_table_tuned(
-                    server,
-                    cell.benchmark,
-                    &cell.quanta,
-                    &table,
-                    cell.target,
-                    seed,
-                    tuning,
+                    if policy == 2 { Adaptation::Seec } else { Adaptation::Uncoordinated },
+                    protocol,
+                    Some(&table),
                 )
                 .performance_per_watt(cell.target),
             });
@@ -496,325 +462,164 @@ pub fn map_configuration(server: &XeonServer, config: &Configuration) -> ServerC
     ServerConfiguration::new(cores, pstate, duty)
 }
 
-/// Runs the benchmark under coordinated SEEC control, fetching each
-/// quantum's report from `evaluate` (a direct evaluation or a memoized
-/// lookup — both yield bit-identical reports).
-fn run_seec_with(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    target_heart_rate: f64,
-    seed: u64,
-    mut evaluate: impl FnMut(usize, &QuantumDemand, &ServerConfiguration) -> ServerReport,
-) -> XeonRunOutcome {
-    let app = HeartbeatedWorkload::new(Workload::new(benchmark, seed));
-    app.set_heart_rate_goal(target_heart_rate);
-    let mut runtime = SeecRuntime::builder(app.monitor())
-        .actuators(xeon_actuators(server))
-        .seed(seed)
-        .build()
-        .expect("actuators registered");
-    let mut app = app;
-    let monitor = app.monitor();
-
-    let mut now = 0.0;
-    let mut reports: Vec<ServerReport> = Vec::with_capacity(quanta.len());
-    for (index, quantum) in quanta.iter().enumerate() {
-        let configuration = map_configuration(server, runtime.current_configuration());
-        let mut report = evaluate(index, quantum, &configuration);
-        // Decision overhead: the decision shares the main cores with the
-        // application on this platform.
-        report.seconds += DECISION_OVERHEAD_SECONDS;
-        report.energy_joules += DECISION_OVERHEAD_SECONDS * report.total_power_watts;
-        now += report.seconds;
-        app.advance(now, report.work_units);
-        monitor.record_power_sample(now, report.power_above_idle_watts);
-        let _ = runtime.decide(now);
-        reports.push(report);
-    }
-    XeonRunOutcome::from_reports(reports.iter())
+/// How a closed-loop run tunes its runtimes and stamps their telemetry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Protocol {
+    /// The historical pipeline, kept bit-for-bit under the linear default
+    /// model: default controller, beats and one power sample stamped in a
+    /// batch at the end of each quantum.
+    Historical,
+    /// The convex-model (goal-respecting) protocol: anchored estimation,
+    /// the gentler [`CONVEX_PROTOCOL_KI`] integral with the tuning's leak
+    /// and belief aging, and interpolated beat/power stamping
+    /// ([`HeartbeatedWorkload::advance_metered`]).
+    Convex(ConvexTuning),
 }
 
-/// Runs the benchmark under coordinated SEEC control.
-pub fn run_seec_on_xeon(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    target_heart_rate: f64,
-    seed: u64,
-) -> XeonRunOutcome {
-    run_seec_with(server, benchmark, quanta, target_heart_rate, seed, |_, quantum, cfg| {
-        server.evaluate(&to_server_demand(quantum), cfg)
-    })
-}
-
-/// [`run_seec_on_xeon`] against memoized evaluations: every configuration
-/// SEEC can reach lies on the grid, so each quantum is an indexed lookup.
-pub fn run_seec_on_table(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-) -> XeonRunOutcome {
-    run_seec_with(server, benchmark, quanta, target_heart_rate, seed, |index, _, cfg| {
-        let config = table.config_index(cfg).expect("SEEC configurations lie on the grid");
-        table.report(index, config)
-    })
-}
-
-/// Runs the benchmark under uncoordinated adaptation (one independent SEEC
-/// instance per actuator), fetching reports from `evaluate`.
-fn run_uncoordinated_with(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    target_heart_rate: f64,
-    seed: u64,
-    mut evaluate: impl FnMut(usize, &QuantumDemand, &ServerConfiguration) -> ServerReport,
-) -> XeonRunOutcome {
-    let app = HeartbeatedWorkload::new(Workload::new(benchmark, seed));
-    app.set_heart_rate_goal(target_heart_rate);
-    let mut uncoordinated =
-        UncoordinatedRuntime::new(&app.monitor(), xeon_actuators(server), seed).expect("actuators");
-    let mut app = app;
-    let monitor = app.monitor();
-
-    let mut now = 0.0;
-    let mut reports: Vec<ServerReport> = Vec::with_capacity(quanta.len());
-    for (index, quantum) in quanta.iter().enumerate() {
-        let configuration = map_configuration(server, &uncoordinated.joint_configuration());
-        let mut report = evaluate(index, quantum, &configuration);
-        // Each independent instance pays its own decision overhead.
-        let overhead = DECISION_OVERHEAD_SECONDS * uncoordinated.instances() as f64;
-        report.seconds += overhead;
-        report.energy_joules += overhead * report.total_power_watts;
-        now += report.seconds;
-        app.advance(now, report.work_units);
-        monitor.record_power_sample(now, report.power_above_idle_watts);
-        let _ = uncoordinated.decide(now);
-        reports.push(report);
-    }
-    XeonRunOutcome::from_reports(reports.iter())
-}
-
-/// Runs the benchmark under uncoordinated adaptation: one independent SEEC
-/// instance per actuator.
-pub fn run_uncoordinated_on_xeon(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    target_heart_rate: f64,
-    seed: u64,
-) -> XeonRunOutcome {
-    run_uncoordinated_with(server, benchmark, quanta, target_heart_rate, seed, |_, quantum, cfg| {
-        server.evaluate(&to_server_demand(quantum), cfg)
-    })
-}
-
-/// The convex-model (goal-respecting) protocol's closed-loop SEEC run:
-/// anchored estimation, the gentler [`CONVEX_PROTOCOL_KI`] integral, and
-/// interpolated beat/power stamping
-/// ([`HeartbeatedWorkload::advance_metered`]). Under the linear default the
-/// historical [`run_seec_on_table`] protocol is used instead — its batched
-/// end-of-quantum stamping and drifting baseline are kept bit-for-bit.
-pub fn run_seec_convex_on_table(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-) -> XeonRunOutcome {
-    run_seec_convex_on_table_with_leak(server, benchmark, quanta, table, target_heart_rate, seed, 1.0)
-}
-
-/// [`run_seec_convex_on_table`] with a leaky PI integral (`leak = 1.0` is
-/// bit-for-bit the classical integral; see [`CONVEX_PROTOCOL_LEAK`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_seec_convex_on_table_with_leak(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-    leak: f64,
-) -> XeonRunOutcome {
-    run_seec_convex_on_table_tuned(
-        server,
-        benchmark,
-        quanta,
-        table,
-        target_heart_rate,
-        seed,
-        ConvexTuning {
-            leak,
-            ..ConvexTuning::default()
-        },
-    )
-}
-
-/// [`run_seec_convex_on_table`] with explicit [`ConvexTuning`] knobs (the
-/// default tuning is bit-for-bit the plain convex run).
-#[allow(clippy::too_many_arguments)]
-pub fn run_seec_convex_on_table_tuned(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-    tuning: ConvexTuning,
-) -> XeonRunOutcome {
-    let app = HeartbeatedWorkload::new(Workload::new(benchmark, seed));
-    app.set_heart_rate_goal(target_heart_rate);
-    let mut runtime = SeecRuntime::builder(app.monitor())
-        .actuators(xeon_actuators(server))
-        .anchored_estimation(true)
-        .belief_halflife(tuning.belief_halflife)
-        .controller(
-            PiController::new(1.0, CONVEX_PROTOCOL_KI, 1.0 / 64.0, 64.0).with_leak(tuning.leak),
-        )
-        .seed(seed)
-        .build()
-        .expect("actuators registered");
-    let mut app = app;
-
-    let mut now = 0.0;
-    let mut reports: Vec<ServerReport> = Vec::with_capacity(quanta.len());
-    for (index, _) in quanta.iter().enumerate() {
-        let configuration = map_configuration(server, runtime.current_configuration());
-        let config = table
-            .config_index(&configuration)
-            .expect("SEEC configurations lie on the grid");
-        let mut report = table.report(index, config);
-        report.seconds += DECISION_OVERHEAD_SECONDS;
-        report.energy_joules += DECISION_OVERHEAD_SECONDS * report.total_power_watts;
-        let start = now;
-        now += report.seconds;
-        app.advance_metered(start, now, report.work_units, report.power_above_idle_watts);
-        let _ = runtime.decide(now);
-        reports.push(report);
-    }
-    XeonRunOutcome::from_reports(reports.iter())
-}
-
-/// The convex-model protocol's uncoordinated baseline: the same anchored /
-/// tuned / interpolated treatment as [`run_seec_convex_on_table`], applied
-/// to one independent SEEC instance per actuator.
-pub fn run_uncoordinated_convex_on_table(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-) -> XeonRunOutcome {
-    run_uncoordinated_convex_on_table_with_leak(
-        server,
-        benchmark,
-        quanta,
-        table,
-        target_heart_rate,
-        seed,
-        1.0,
-    )
-}
-
-/// [`run_uncoordinated_convex_on_table`] with a leaky PI integral in every
-/// per-actuator instance (`leak = 1.0` is bit-for-bit the classical
-/// integral).
-#[allow(clippy::too_many_arguments)]
-pub fn run_uncoordinated_convex_on_table_with_leak(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-    leak: f64,
-) -> XeonRunOutcome {
-    run_uncoordinated_convex_on_table_tuned(
-        server,
-        benchmark,
-        quanta,
-        table,
-        target_heart_rate,
-        seed,
-        ConvexTuning {
-            leak,
-            ..ConvexTuning::default()
-        },
-    )
-}
-
-/// [`run_uncoordinated_convex_on_table`] with explicit [`ConvexTuning`]
-/// knobs in every per-actuator instance (the default tuning is bit-for-bit
-/// the plain convex run).
-#[allow(clippy::too_many_arguments)]
-pub fn run_uncoordinated_convex_on_table_tuned(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-    tuning: ConvexTuning,
-) -> XeonRunOutcome {
-    let app = HeartbeatedWorkload::new(Workload::new(benchmark, seed));
-    app.set_heart_rate_goal(target_heart_rate);
-    let mut uncoordinated = UncoordinatedRuntime::new_with(
-        &app.monitor(),
-        xeon_actuators(server),
-        seed,
-        |builder| {
-            builder
+impl Protocol {
+    /// Applies the protocol's runtime tuning to `builder`.
+    pub(crate) fn tune(self, builder: SeecRuntimeBuilder) -> SeecRuntimeBuilder {
+        match self {
+            Protocol::Historical => builder,
+            Protocol::Convex(tuning) => builder
                 .anchored_estimation(true)
                 .belief_halflife(tuning.belief_halflife)
                 .controller(
                     PiController::new(1.0, CONVEX_PROTOCOL_KI, 1.0 / 64.0, 64.0)
                         .with_leak(tuning.leak),
-                )
-        },
-    )
-    .expect("actuators");
-    let mut app = app;
+                ),
+        }
+    }
+}
+
+/// Which closed-loop adaptation drives an application.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Adaptation {
+    /// One coordinated SEEC runtime over all three actuators.
+    Seec,
+    /// Uncoordinated adaptation: one independent SEEC instance per
+    /// actuator (§5.2's baseline).
+    Uncoordinated,
+}
+
+/// A runtime deciding for one application on its own.
+pub(crate) enum LocalRuntime {
+    Seec(Box<SeecRuntime>),
+    Uncoordinated(Box<UncoordinatedRuntime>),
+}
+
+impl LocalRuntime {
+    /// Builds the runtime `adaptation` names over the Xeon actuators.
+    pub(crate) fn new(
+        adaptation: Adaptation,
+        monitor: &HeartbeatMonitor,
+        server: &XeonServer,
+        seed: u64,
+        protocol: Protocol,
+    ) -> Self {
+        match adaptation {
+            Adaptation::Seec => LocalRuntime::Seec(Box::new(
+                protocol
+                    .tune(
+                        SeecRuntime::builder(monitor.clone())
+                            .actuators(xeon_actuators(server))
+                            .seed(seed),
+                    )
+                    .build()
+                    .expect("actuators registered"),
+            )),
+            Adaptation::Uncoordinated => LocalRuntime::Uncoordinated(Box::new(
+                UncoordinatedRuntime::new_with(monitor, xeon_actuators(server), seed, |builder| {
+                    protocol.tune(builder)
+                })
+                .expect("actuators registered"),
+            )),
+        }
+    }
+
+    /// The server configuration the runtime currently selects.
+    pub(crate) fn configuration(&self, server: &XeonServer) -> ServerConfiguration {
+        match self {
+            LocalRuntime::Seec(runtime) => {
+                map_configuration(server, runtime.current_configuration())
+            }
+            LocalRuntime::Uncoordinated(runtime) => {
+                map_configuration(server, &runtime.joint_configuration())
+            }
+        }
+    }
+
+    /// Runtime instances deciding per period (each pays its own overhead).
+    fn instances(&self) -> usize {
+        match self {
+            LocalRuntime::Seec(_) => 1,
+            LocalRuntime::Uncoordinated(runtime) => runtime.instances(),
+        }
+    }
+
+    /// Runs one decision period.
+    pub(crate) fn decide(&mut self, now: f64) -> Result<(), SeecError> {
+        match self {
+            LocalRuntime::Seec(runtime) => runtime.decide(now).map(drop),
+            LocalRuntime::Uncoordinated(runtime) => runtime.decide(now).map(drop),
+        }
+    }
+}
+
+/// Runs `benchmark` over `quanta` under closed-loop `adaptation` toward
+/// `target_heart_rate`. Every runtime instance charges
+/// [`DECISION_OVERHEAD_SECONDS`] per decision (decisions share the main
+/// cores with the application on this platform). Each quantum's report
+/// is an indexed lookup into `table` when one is given (every
+/// configuration SEEC can reach lies on its grid) and a direct
+/// evaluation otherwise; the two are bit-identical.
+#[allow(clippy::too_many_arguments)]
+pub fn run_closed_loop(
+    server: &XeonServer,
+    benchmark: SplashBenchmark,
+    quanta: &[QuantumDemand],
+    target_heart_rate: f64,
+    seed: u64,
+    adaptation: Adaptation,
+    protocol: Protocol,
+    table: Option<&XeonEvalTable>,
+) -> XeonRunOutcome {
+    let mut app = HeartbeatedWorkload::new(Workload::new(benchmark, seed));
+    app.set_heart_rate_goal(target_heart_rate);
+    let monitor = app.monitor();
+    let mut runtime = LocalRuntime::new(adaptation, &monitor, server, seed, protocol);
 
     let mut now = 0.0;
     let mut reports: Vec<ServerReport> = Vec::with_capacity(quanta.len());
-    for (index, _) in quanta.iter().enumerate() {
-        let configuration = map_configuration(server, &uncoordinated.joint_configuration());
-        let config = table
-            .config_index(&configuration)
-            .expect("SEEC configurations lie on the grid");
-        let mut report = table.report(index, config);
-        let overhead = DECISION_OVERHEAD_SECONDS * uncoordinated.instances() as f64;
+    for (index, quantum) in quanta.iter().enumerate() {
+        let configuration = runtime.configuration(server);
+        let mut report = match table {
+            Some(table) => table.report(
+                index,
+                table
+                    .config_index(&configuration)
+                    .expect("SEEC configurations lie on the grid"),
+            ),
+            None => server.evaluate(&to_server_demand(quantum), &configuration),
+        };
+        let overhead = DECISION_OVERHEAD_SECONDS * runtime.instances() as f64;
         report.seconds += overhead;
         report.energy_joules += overhead * report.total_power_watts;
         let start = now;
         now += report.seconds;
-        app.advance_metered(start, now, report.work_units, report.power_above_idle_watts);
-        let _ = uncoordinated.decide(now);
+        match protocol {
+            Protocol::Historical => {
+                app.advance(now, report.work_units);
+                monitor.record_power_sample(now, report.power_above_idle_watts);
+            }
+            Protocol::Convex(_) => {
+                app.advance_metered(start, now, report.work_units, report.power_above_idle_watts);
+            }
+        }
+        let _ = runtime.decide(now);
         reports.push(report);
     }
     XeonRunOutcome::from_reports(reports.iter())
-}
-
-/// [`run_uncoordinated_on_xeon`] against memoized evaluations.
-pub fn run_uncoordinated_on_table(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-) -> XeonRunOutcome {
-    run_uncoordinated_with(server, benchmark, quanta, target_heart_rate, seed, |index, _, cfg| {
-        let config = table.config_index(cfg).expect("SEEC configurations lie on the grid");
-        table.report(index, config)
-    })
 }
 
 /// Convenience used by oracles in other modules: the best per-quantum report
@@ -841,6 +646,17 @@ pub fn best_quantum_report(
 mod tests {
     use super::*;
     use crate::driver::run_fixed_on_xeon;
+
+    fn direct(
+        server: &XeonServer,
+        benchmark: SplashBenchmark,
+        quanta: &[QuantumDemand],
+        target: f64,
+        adaptation: Adaptation,
+    ) -> XeonRunOutcome {
+        let protocol = Protocol::Historical;
+        run_closed_loop(server, benchmark, quanta, target, 9, adaptation, protocol, None)
+    }
 
     #[test]
     fn actuator_specs_cover_the_papers_three_actions() {
@@ -878,8 +694,8 @@ mod tests {
         let max_rate =
             run_fixed_on_xeon(&server, &quanta, &server.default_configuration()).heart_rate;
         let target = max_rate / 2.0;
-        let seec = run_seec_on_xeon(&server, benchmark, &quanta, target, 9);
-        let uncoordinated = run_uncoordinated_on_xeon(&server, benchmark, &quanta, target, 9);
+        let seec = direct(&server, benchmark, &quanta, target, Adaptation::Seec);
+        let uncoordinated = direct(&server, benchmark, &quanta, target, Adaptation::Uncoordinated);
         // A 40-quantum run still contains the start-up transient (the paper
         // launches every benchmark on one core at the minimum clock), so the
         // bounds here are looser than the steady-state figures.
@@ -897,6 +713,35 @@ mod tests {
         );
     }
 
+    /// The reference for the memoized pipeline: a table lookup yields the
+    /// exact report a direct evaluation does, so every closed loop — both
+    /// adaptations, both protocols — runs bit-identically either way.
+    #[test]
+    fn table_lookups_reproduce_direct_evaluation_bit_for_bit() {
+        for server in [XeonServer::dell_r410(), XeonServer::dell_r410_calibrated()] {
+            let benchmark = SplashBenchmark::WaterSpatial;
+            let quanta = Workload::new(benchmark, 3).quanta(24);
+            let table = XeonEvalTable::build(&server, &quanta);
+            let fixed = run_fixed_on_xeon(&server, &quanta, &server.default_configuration());
+            let target = fixed.heart_rate / 2.0;
+            let leaky = ConvexTuning {
+                leak: CONVEX_PROTOCOL_LEAK,
+                belief_halflife: 16.0,
+            };
+            for adaptation in [Adaptation::Seec, Adaptation::Uncoordinated] {
+                for protocol in [Protocol::Historical, Protocol::Convex(leaky)] {
+                    let run = |table| {
+                        let seed = 3;
+                        run_closed_loop(
+                            &server, benchmark, &quanta, target, seed, adaptation, protocol, table,
+                        )
+                    };
+                    assert_eq!(run(None), run(Some(&table)), "{adaptation:?} {protocol:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn calibrated_convex_protocol_recovers_seec_standing() {
         // Under the convex utilisation-power model with convex power priors
@@ -906,7 +751,10 @@ mod tests {
         // and the paper's ordering is restored: uncoordinated adaptation
         // loses badly, the static oracle tracks the dynamic oracle, and
         // SEEC clearly beats the no-adaptation baseline on average.
-        let fig = Figure3::compute_on(&XeonServer::dell_r410_calibrated(), 2012, QUANTA_PER_RUN);
+        let fig = Figure3::compute(&Figure3Spec {
+            server: XeonServer::dell_r410_calibrated(),
+            ..Figure3Spec::default()
+        });
         assert_eq!(fig.rows.len(), 5);
         let seec = fig.seec_fraction_of_dynamic_oracle();
         assert!(
@@ -948,7 +796,11 @@ mod tests {
     #[test]
     fn figure3_reproduces_the_papers_ordering() {
         // A reduced quantum count keeps the test fast while preserving shape.
-        let fig = Figure3::compute_with(7, 30);
+        let fig = Figure3::compute(&Figure3Spec {
+            seed: 7,
+            quanta_per_run: 30,
+            ..Figure3Spec::default()
+        });
         assert_eq!(fig.rows.len(), 5);
         for row in &fig.rows {
             assert!(row.dynamic_oracle >= row.static_oracle * 0.999,

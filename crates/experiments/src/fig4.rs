@@ -13,7 +13,7 @@ use angstrom_sim::config::ChipConfig;
 use serde::{Deserialize, Serialize};
 use workloads::SplashBenchmark;
 
-use crate::fig3::Figure3;
+use crate::fig3::{Figure3, Figure3Spec};
 use crate::sweep::{max_heart_rate, sweep_benchmark, SweepPoint};
 
 /// Per-benchmark Figure-4 results, as raw performance per watt.
@@ -48,7 +48,10 @@ impl Figure4 {
     /// Runs the experiment using a freshly computed Figure 3 for the SEEC
     /// multiplier.
     pub fn compute() -> Self {
-        let fig3 = Figure3::compute_with(2012, 40);
+        let fig3 = Figure3::compute(&Figure3Spec {
+            quanta_per_run: 40,
+            ..Figure3Spec::default()
+        });
         Figure4::compute_with_multiplier(fig3.seec_vs_static_oracle())
     }
 

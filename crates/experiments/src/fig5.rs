@@ -33,34 +33,19 @@
 //! model power is linear in utilisation, so a power cap would barely
 //! distinguish the regimes.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use coordinator::{
-    AppHandle, ArbitrationPolicy, Coordinator, DatacenterArbiter, ManagedApp, PerformanceMarket,
-    RackCoordinator, StaticShare, WeightedFair,
-};
-use obs::{Counter, ObsSnapshot, Recorder};
-use seec::control::PiController;
-use seec::{SeecRuntime, SeecRuntimeBuilder, UncoordinatedRuntime};
+use coordinator::{StaticShare, WeightedFair};
+use obs::ObsSnapshot;
 use serde::{Deserialize, Serialize};
-use workloads::{
-    extended_scenario_mixes, scenario_mixes, HeartbeatedWorkload, QuantumDemand, Scenario,
-    Workload,
-};
-use xeon_sim::{MachineMeter, ServerConfiguration, XeonServer};
+use workloads::Scenario;
+use xeon_sim::XeonServer;
 
-use crate::driver::{run_cells, to_server_demand};
-use crate::faults::FaultRuntime;
-use crate::fig3::{map_configuration, xeon_actuators, CONVEX_PROTOCOL_KI};
+use crate::fig3::Adaptation;
+use crate::run::{run_arms, Control, Coordination, Layout, RunSpec, ScenarioRun};
 
 /// Length of one shared scheduling quantum, in seconds.
 pub const QUANTUM_SECONDS: f64 = 1.0;
-
-/// Beats each application should emit per quantum when exactly on target
-/// (sets its work-per-beat granularity; the 64-beat window then spans eight
-/// quanta).
-const BEATS_PER_QUANTUM_AT_TARGET: f64 = 8.0;
 
 /// Wall-clock accounting for one simulation cell, reported alongside the
 /// simulated metrics. The timing fields are measurement-environment facts,
@@ -187,148 +172,60 @@ pub struct Figure5 {
     pub scenarios: Vec<Figure5Scenario>,
 }
 
-/// Which regime a simulation cell runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Arm {
-    NoAdaptation,
-    Uncoordinated,
-    PerAppSeec,
-    CoordinatedMarket,
-    CoordinatedStatic,
-    CoordinatedWeighted,
-}
-
-impl Arm {
-    pub(crate) const ALL: [Arm; 6] = [
-        Arm::NoAdaptation,
-        Arm::Uncoordinated,
-        Arm::PerAppSeec,
-        Arm::CoordinatedMarket,
-        Arm::CoordinatedStatic,
-        Arm::CoordinatedWeighted,
-    ];
-
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            Arm::NoAdaptation => "no-adaptation",
-            Arm::Uncoordinated => "uncoordinated",
-            Arm::PerAppSeec => "per-app-seec",
-            Arm::CoordinatedMarket => "coordinated/performance-market",
-            Arm::CoordinatedStatic => "coordinated/static-share",
-            Arm::CoordinatedWeighted => "coordinated/weighted-fair",
-        }
-    }
-
-    fn policy(self) -> Option<Box<dyn ArbitrationPolicy>> {
-        match self {
-            Arm::CoordinatedMarket => Some(Box::new(PerformanceMarket::default())),
-            Arm::CoordinatedStatic => Some(Box::new(StaticShare)),
-            Arm::CoordinatedWeighted => Some(Box::new(WeightedFair)),
-            _ => None,
-        }
-    }
-}
+/// The Figure-5 regimes, in cell order: the three uncoordinated ones, then
+/// the coordinated one under every shipped arbitration policy.
+const ARMS: [(&str, Control); 6] = [
+    ("no-adaptation", Control::Fixed),
+    ("uncoordinated", Control::Local(Adaptation::Uncoordinated)),
+    ("per-app-seec", Control::Local(Adaptation::Seec)),
+    ("coordinated/performance-market", Control::Flat(Coordination::MARKET)),
+    (
+        "coordinated/static-share",
+        Control::Flat(Coordination {
+            policy: || Box::new(StaticShare),
+            ..Coordination::MARKET
+        }),
+    ),
+    (
+        "coordinated/weighted-fair",
+        Control::Flat(Coordination {
+            policy: || Box::new(WeightedFair),
+            ..Coordination::MARKET
+        }),
+    ),
+];
 
 impl Figure5 {
-    /// Runs the experiment with the workspace's canonical seed.
-    pub fn compute() -> Self {
-        Figure5::compute_with(2012)
-    }
-
-    /// Runs the experiment for an explicit seed. Every (scenario, regime)
-    /// pair is one worker cell ([`run_cells`]) with a seed derived from
-    /// `(seed, scenario, regime)`, so results are identical regardless of
-    /// worker count or interleaving.
-    pub fn compute_with(seed: u64) -> Self {
-        Figure5::compute_scenarios(&scenario_mixes(seed), seed)
-    }
-
-    /// Runs the *extended* scenario family
-    /// ([`workloads::extended_scenario_mixes`]) with the workspace's
-    /// canonical seed: the 100-app arrival storm and the 1200-app
-    /// stepped-budget mix, exercising runtime registration/retirement,
-    /// mid-run budget steps, and the sharded coordinator. Kept separate
-    /// from [`Self::compute`] so `fig5.json` stays byte-identical; the
-    /// fig5 binary writes these to `fig5_extended.json` under
-    /// `--extended`.
-    pub fn compute_extended() -> Self {
-        Figure5::compute_extended_with(2012)
-    }
-
-    /// [`Self::compute_extended`] for an explicit seed.
-    pub fn compute_extended_with(seed: u64) -> Self {
-        Figure5::compute_scenarios(&extended_scenario_mixes(seed), seed)
-    }
-
-    /// [`Self::compute`] with telemetry attached (the `fig5 --obs` path).
-    pub fn compute_obs() -> (Self, ObsSnapshot) {
-        let (figure, snapshot) = Figure5::compute_scenarios_obs(&scenario_mixes(2012), 2012, true);
-        (figure, snapshot.expect("observe=true yields a snapshot"))
-    }
-
-    /// [`Self::compute_extended`] with telemetry attached.
-    pub fn compute_extended_obs() -> (Self, ObsSnapshot) {
-        let (figure, snapshot) =
-            Figure5::compute_scenarios_obs(&extended_scenario_mixes(2012), 2012, true);
-        (figure, snapshot.expect("observe=true yields a snapshot"))
-    }
-
-    /// Runs the experiment over explicit scenarios (tests use reduced
-    /// mixes).
-    pub fn compute_scenarios(scenarios: &[Scenario], seed: u64) -> Self {
-        Figure5::compute_scenarios_obs(scenarios, seed, false).0
-    }
-
-    /// [`Self::compute_scenarios`] with telemetry: when `observe` is set,
-    /// every cell runs under its own in-memory [`Recorder`] and the
-    /// per-cell snapshots merge in cell-index order, so the combined
-    /// stream is identical regardless of worker count. The figure itself
-    /// is byte-identical either way — telemetry is read-only.
-    pub fn compute_scenarios_obs(
-        scenarios: &[Scenario],
-        seed: u64,
-        observe: bool,
-    ) -> (Self, Option<ObsSnapshot>) {
+    /// Runs every (scenario, regime) cell of `spec` on one machine; see
+    /// [`RunSpec`] for seeding and telemetry. The fig5 binary runs
+    /// [`workloads::scenario_mixes`] into `fig5.json` and, under
+    /// `--extended`, [`workloads::extended_scenario_mixes`] (the 100-app
+    /// arrival storm and the 1200-app stepped-budget mix) into
+    /// `fig5_extended.json`.
+    pub fn compute(spec: &RunSpec) -> (Self, Option<ObsSnapshot>) {
         let server = XeonServer::dell_r410_calibrated();
-        let arms = Arm::ALL;
-        let cells: Vec<(ArmOutcome, Option<ObsSnapshot>)> =
-            run_cells(scenarios.len() * arms.len(), |index| {
-                let scenario = &scenarios[index / arms.len()];
-                let arm = arms[index % arms.len()];
-                let cell_seed = seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(index as u64);
-                let recorder = observe.then(|| Arc::new(Recorder::in_memory()));
-                let outcome = run_arm(&server, scenario, arm, cell_seed, recorder.as_ref());
-                let snapshot = recorder.map(|recorder| recorder.snapshot());
-                (outcome, snapshot)
+        let (outcomes, snapshot) =
+            run_arms(spec, ARMS.len(), 0, |scenario, arm, seed, observer| {
+                let (name, control) = ARMS[arm];
+                let layout = Layout::Machine;
+                ScenarioRun { server: &server, scenario, layout, control, seed, observer }
+                    .run(|_| {})
+                    .arm_outcome(name)
             });
-        let snapshot = observe.then(|| {
-            let mut merged = ObsSnapshot::empty();
-            for (_, cell) in &cells {
-                if let Some(cell) = cell {
-                    merged.merge(cell);
-                }
-            }
-            merged
-        });
-        let scenarios = scenarios
+        let scenarios = spec
+            .scenarios
             .iter()
-            .zip(cells.chunks(arms.len()))
+            .zip(outcomes)
             .map(|(scenario, outcomes)| Figure5Scenario {
                 name: scenario.name.clone(),
                 apps: scenario.apps.len(),
                 quanta: scenario.quanta,
                 budget_watts: budget_watts(&server, scenario),
-                no_adaptation: outcomes[0].0.clone(),
-                uncoordinated: outcomes[1].0.clone(),
-                per_app_seec: outcomes[2].0.clone(),
-                coordinated: outcomes[3].0.clone(),
-                policies: vec![
-                    outcomes[4].0.clone(),
-                    outcomes[5].0.clone(),
-                    outcomes[3].0.clone(),
-                ],
+                no_adaptation: outcomes[0].clone(),
+                uncoordinated: outcomes[1].clone(),
+                per_app_seec: outcomes[2].clone(),
+                coordinated: outcomes[3].clone(),
+                policies: vec![outcomes[4].clone(), outcomes[5].clone(), outcomes[3].clone()],
             })
             .collect();
         (Figure5 { scenarios }, snapshot)
@@ -393,350 +290,6 @@ pub fn datacenter_budget_watts(server: &XeonServer, scenario: &Scenario) -> f64 
     budget_watts(server, scenario) * scenario.rack_count() as f64
 }
 
-/// Per-app simulation state shared by every regime.
-pub(crate) struct AppSim {
-    /// The scenario slot (activity window, weight, seed, benchmark); the
-    /// single source of the half-open residency semantics
-    /// ([`workloads::ScenarioApp::active_at`]).
-    pub(crate) spec: workloads::ScenarioApp,
-    pub(crate) phases: Vec<QuantumDemand>,
-    /// Target work rate (work units per second): the app's solo maximum
-    /// under the default configuration, scaled by its requested fraction.
-    pub(crate) target_rate: f64,
-    pub(crate) work_per_beat: f64,
-    pub(crate) launch_power_watts: f64,
-    // Accumulators over the app's residency.
-    pub(crate) active_seconds: f64,
-    pub(crate) work_done: f64,
-}
-
-impl AppSim {
-    pub(crate) fn active_at(&self, quantum: usize) -> bool {
-        self.spec.active_at(quantum)
-    }
-
-    pub(crate) fn demand_at(&self, quantum: usize) -> &QuantumDemand {
-        &self.phases[(quantum - self.spec.arrival) % self.phases.len()]
-    }
-
-    /// `min(rate/target, 1)` over the app's residency.
-    pub(crate) fn attainment(&self) -> f64 {
-        if self.active_seconds <= 0.0 || self.target_rate <= 0.0 {
-            return 0.0;
-        }
-        (self.work_done / self.active_seconds / self.target_rate).min(1.0)
-    }
-}
-
-/// Builds the per-app simulation state for one scenario.
-pub(crate) fn build_apps(server: &XeonServer, scenario: &Scenario) -> Vec<AppSim> {
-    let launch = ServerConfiguration::new(1, server.pstates().len() - 1, 1.0);
-    scenario
-        .apps
-        .iter()
-        .map(|app| {
-            let workload = Workload::new(app.benchmark, app.seed);
-            let phases_len = scenario.quanta.max(8);
-            let phases = workload.quanta(phases_len);
-            let average = to_server_demand(&workload.average_quantum());
-            let solo = server.evaluate(&average, &server.default_configuration());
-            let target_rate = app.target_fraction * solo.work_units / solo.seconds;
-            let launch_power = server.evaluate(&average, &launch).power_above_idle_watts;
-            AppSim {
-                spec: *app,
-                phases,
-                target_rate,
-                work_per_beat: target_rate * QUANTUM_SECONDS / BEATS_PER_QUANTUM_AT_TARGET,
-                launch_power_watts: launch_power,
-                active_seconds: 0.0,
-                work_done: 0.0,
-            }
-        })
-        .collect()
-}
-
-/// The convex (goal-respecting) protocol tuning every closed-loop runtime
-/// in this figure uses — anchored estimation plus the gentle
-/// [`CONVEX_PROTOCOL_KI`] integral (see [`crate::fig3`]).
-pub(crate) fn tuned(builder: SeecRuntimeBuilder) -> SeecRuntimeBuilder {
-    builder
-        .anchored_estimation(true)
-        .controller(PiController::new(1.0, CONVEX_PROTOCOL_KI, 1.0 / 64.0, 64.0))
-}
-
-/// A heartbeat-instrumented driver for one scenario app, its goal set to
-/// the scenario's target rate.
-pub(crate) fn heartbeated(sim: &AppSim) -> HeartbeatedWorkload {
-    let workload = Workload::new(sim.spec.benchmark, sim.spec.seed);
-    let driver = HeartbeatedWorkload::with_work_per_beat(workload, sim.work_per_beat);
-    driver.set_heart_rate_goal(sim.target_rate / sim.work_per_beat);
-    driver
-}
-
-/// Builds the [`ManagedApp`] a coordinated arm registers for `sim` at its
-/// arrival quantum.
-pub(crate) fn managed_for(server: &XeonServer, sim: &AppSim, seed: u64, index: usize) -> ManagedApp {
-    let driver = heartbeated(sim);
-    let runtime = tuned(
-        SeecRuntime::builder(driver.monitor())
-            .actuators(xeon_actuators(server))
-            .seed(seed.wrapping_add(index as u64)),
-    )
-    .build()
-    .expect("actuators registered");
-    ManagedApp::new(driver, runtime)
-        .with_weight(sim.spec.weight)
-        .with_arrival(sim.spec.arrival)
-        .with_phases(sim.phases.clone())
-        .with_nominal_power_hint(sim.launch_power_watts)
-}
-
-/// The per-app decision state of one regime.
-enum Controller {
-    Fixed,
-    Uncoordinated(Box<UncoordinatedRuntime>, HeartbeatedWorkload),
-    Solo(Box<SeecRuntime>, HeartbeatedWorkload),
-    /// Decisions live in the shared coordinator; the app registers itself
-    /// at its arrival quantum (the handle appears then) and retires at its
-    /// departure — the runtime lifecycle, not an up-front fleet.
-    Coordinated(Option<AppHandle>),
-}
-
-/// Runs one (scenario, regime) cell and reports machine-level outcomes.
-///
-/// When `observer` is attached it also records telemetry: the coordinator
-/// streams its stage timings and lifecycle events through it, and the cell
-/// counts machine-meter violations and the fleet gauge. Telemetry is
-/// strictly read-only — the simulated outcome is bit-identical with or
-/// without it.
-pub(crate) fn run_arm(
-    server: &XeonServer,
-    scenario: &Scenario,
-    arm: Arm,
-    seed: u64,
-    observer: Option<&Arc<Recorder>>,
-) -> ArmOutcome {
-    let started = Instant::now();
-    let mut peak_fleet: u64 = 0;
-    let mut apps = build_apps(server, scenario);
-    let budget_range = server.max_power_watts() - server.idle_power_watts();
-    let budget = budget_watts(server, scenario);
-    let mut meter = MachineMeter::new(budget);
-    // Fault-free scenarios carry no runtime and take byte-identical paths.
-    let mut faults = FaultRuntime::for_plan(&scenario.fault_plan, apps.len());
-
-    // Coordinated arms start from an *empty* coordinator: every app
-    // registers at its arrival quantum and retires at its departure, so
-    // churny mixes exercise the runtime lifecycle rather than a fleet
-    // declared up front. The coordinator shares the process-wide
-    // persistent pool (the same one this cell is running on — nested
-    // dispatch degrades gracefully, and no extra threads are spawned);
-    // the shard threshold (default 64 apps) decides per step whether the
-    // registered fleet is big enough to fan out (bit-identical to
-    // sequential, so this is invisible in the output).
-    let mut coordinator_state: Option<Coordinator> = arm.policy().map(|policy| {
-        Coordinator::new(budget, policy)
-            .with_pool(std::sync::Arc::clone(exec::global_pool_arc()))
-    });
-    if let (Some(observer), Some(coordinator)) = (observer, coordinator_state.as_mut()) {
-        coordinator.set_obs(Some(Arc::clone(observer)));
-    }
-
-    let mut controllers: Vec<Controller> = apps
-        .iter()
-        .enumerate()
-        .map(|(index, sim)| match arm {
-            Arm::NoAdaptation => Controller::Fixed,
-            Arm::Uncoordinated => {
-                let driver = heartbeated(sim);
-                let runtime = UncoordinatedRuntime::new_with(
-                    &driver.monitor(),
-                    xeon_actuators(server),
-                    seed.wrapping_add(index as u64),
-                    tuned,
-                )
-                .expect("actuators registered");
-                Controller::Uncoordinated(Box::new(runtime), driver)
-            }
-            Arm::PerAppSeec => {
-                let driver = heartbeated(sim);
-                let runtime = tuned(
-                    SeecRuntime::builder(driver.monitor())
-                        .actuators(xeon_actuators(server))
-                        .seed(seed.wrapping_add(index as u64)),
-                )
-                .build()
-                .expect("actuators registered");
-                Controller::Solo(Box::new(runtime), driver)
-            }
-            _ => Controller::Coordinated(None),
-        })
-        .collect();
-
-    let mut now = 0.0;
-    let mut per_app_power = vec![0.0f64; apps.len()];
-    let mut rates = vec![0.0f64; apps.len()];
-    for quantum in 0..scenario.quanta {
-        let start = now;
-        now += QUANTUM_SECONDS;
-
-        // ---- Lifecycle: arrivals register, departures retire, and the
-        // meter adopts the budget fraction in force this quantum.
-        let cap = scenario.budget_fraction_at(quantum) * budget_range;
-        if cap != meter.cap_watts() {
-            meter.set_cap(cap);
-        }
-        if let Some(coordinator) = coordinator_state.as_mut() {
-            for (index, sim) in apps.iter().enumerate() {
-                // A degenerate window (departure ≤ arrival) means the app is
-                // never active; registering it would leave a phantom in the
-                // coordinator with no departure ever stamped.
-                let never_active = sim.spec.departure.is_some_and(|d| d <= sim.spec.arrival);
-                if sim.spec.arrival == quantum && !never_active {
-                    let managed = managed_for(server, sim, seed, index);
-                    controllers[index] = Controller::Coordinated(Some(coordinator.register(managed)));
-                }
-                if sim.spec.departure == Some(quantum) {
-                    if let Controller::Coordinated(Some(handle)) = controllers[index] {
-                        coordinator.retire(handle);
-                    }
-                }
-            }
-        }
-
-        // ---- Evaluate every active app under its current configuration.
-        let mut core_duty_total = 0.0;
-        let mut active_count: u64 = 0;
-        for (index, sim) in apps.iter().enumerate() {
-            per_app_power[index] = 0.0;
-            rates[index] = 0.0;
-            if !sim.active_at(quantum) {
-                continue;
-            }
-            active_count += 1;
-            if faults.as_ref().is_some_and(|f| !f.executes(index, quantum)) {
-                continue; // crashed: no cycles, no watts
-            }
-            let configuration = match &controllers[index] {
-                Controller::Fixed => server.default_configuration(),
-                Controller::Uncoordinated(runtime, _) => {
-                    map_configuration(server, &runtime.joint_configuration())
-                }
-                Controller::Solo(runtime, _) => {
-                    map_configuration(server, runtime.current_configuration())
-                }
-                Controller::Coordinated(handle) => {
-                    let handle = handle.expect("active apps have registered");
-                    let coordinator = coordinator_state.as_ref().expect("coordinated arm");
-                    map_configuration(
-                        server,
-                        coordinator.app(handle).runtime().current_configuration(),
-                    )
-                }
-            };
-            let report = server.evaluate(&to_server_demand(sim.demand_at(quantum)), &configuration);
-            rates[index] = report.work_units / report.seconds;
-            per_app_power[index] = report.power_above_idle_watts;
-            core_duty_total += configuration.cores as f64 * configuration.active_cycle_fraction;
-        }
-
-        // ---- Time-multiplex an oversubscribed machine: delivered cycles
-        // (work and dynamic power alike) scale down together.
-        let contention = if core_duty_total > server.total_cores() as f64 {
-            server.total_cores() as f64 / core_duty_total
-        } else {
-            1.0
-        };
-
-        let mut machine_power = 0.0;
-        for (index, sim) in apps.iter_mut().enumerate() {
-            if !sim.active_at(quantum) {
-                continue;
-            }
-            let work = rates[index] * contention * QUANTUM_SECONDS;
-            let power = per_app_power[index] * contention;
-            machine_power += power;
-            sim.active_seconds += QUANTUM_SECONDS;
-            sim.work_done += work;
-            // The meter and attainment saw physical truth above; the
-            // platform sees only what the (possibly faulty) app reports.
-            let report = match faults.as_mut() {
-                None => Some((work, power)),
-                Some(f) => f.report(index, quantum, work, power),
-            };
-            let Some((reported_work, reported_power)) = report else {
-                continue; // stalled pipe or dead app: nothing arrives
-            };
-            match &mut controllers[index] {
-                Controller::Fixed => {}
-                Controller::Uncoordinated(_, driver) | Controller::Solo(_, driver) => {
-                    driver.advance_metered(start, now, reported_work, reported_power);
-                }
-                Controller::Coordinated(handle) => {
-                    let handle = handle.expect("active apps have registered");
-                    let coordinator = coordinator_state.as_mut().expect("coordinated arm");
-                    coordinator.advance(handle, start, now, reported_work, reported_power);
-                }
-            }
-        }
-        peak_fleet = peak_fleet.max(active_count);
-        let violations_before = meter.violation_intervals();
-        meter.record(QUANTUM_SECONDS, machine_power);
-        if let Some(observer) = observer {
-            observer.observe_fleet_size(active_count);
-            observer.add(
-                Counter::MachineMeterViolations,
-                meter.violation_intervals() - violations_before,
-            );
-        }
-
-        // ---- Decide for the next quantum.
-        if let Some(coordinator) = coordinator_state.as_mut() {
-            // The envelopes decided now govern the *next* interval, so the
-            // coordinator adopts the budget in force there — a mid-run
-            // budget step binds with no violation lag.
-            let next_budget = scenario.budget_fraction_at(quantum + 1) * budget_range;
-            if next_budget != coordinator.budget_watts() {
-                coordinator.set_budget(next_budget);
-            }
-            coordinator.step(now).expect("every app declares a goal");
-        } else {
-            for (index, sim) in apps.iter().enumerate() {
-                if !sim.active_at(quantum) {
-                    continue;
-                }
-                match &mut controllers[index] {
-                    Controller::Fixed | Controller::Coordinated(_) => {}
-                    Controller::Uncoordinated(runtime, _) => {
-                        runtime.decide(now).expect("goal declared");
-                    }
-                    Controller::Solo(runtime, _) => {
-                        runtime.decide(now).expect("goal declared");
-                    }
-                }
-            }
-        }
-    }
-
-    let attainments: Vec<f64> = apps.iter().map(AppSim::attainment).collect();
-    let goal_attainment = attainments.iter().sum::<f64>() / attainments.len().max(1) as f64;
-    let mean_power = meter.mean_watts();
-    let performance_per_watt = if mean_power > 0.0 {
-        attainments.iter().sum::<f64>() / mean_power
-    } else {
-        0.0
-    };
-    ArmOutcome {
-        name: arm.name().to_string(),
-        performance_per_watt,
-        goal_attainment,
-        cap_violation_rate: meter.violation_rate(),
-        mean_power_watts: mean_power,
-        peak_power_watts: meter.peak_watts(),
-        runtime: RuntimeBlock::measure(started, scenario.quanta, peak_fleet),
-    }
-}
-
 // ---------------------------------------------------------------------
 // The hierarchical (rack → datacenter) arm: `fig5 --hierarchy`.
 // ---------------------------------------------------------------------
@@ -761,14 +314,17 @@ pub struct HierarchyScenario {
     /// No arbitration anywhere: every app its own uncoordinated
     /// (one-instance-per-actuator) adaptation.
     pub uncoordinated: ArmOutcome,
-    /// One flat [`Coordinator`] arbitrating every app across all racks.
+    /// One flat [`Coordinator`](coordinator::Coordinator) arbitrating every
+    /// app across all racks.
     pub flat: ArmOutcome,
-    /// A [`DatacenterArbiter`] over per-rack [`RackCoordinator`]s:
-    /// budget flows datacenter → rack → app.
+    /// A [`DatacenterArbiter`](coordinator::DatacenterArbiter) over
+    /// per-rack [`RackCoordinator`](coordinator::RackCoordinator)s: budget
+    /// flows datacenter → rack → app.
     pub rack_coordinated: ArmOutcome,
     /// Worst per-rack audit in the rack-coordinated arm: the highest
     /// fraction of time any rack spent above the envelope the datacenter
-    /// awarded it ([`RackCoordinator::meter`]).
+    /// awarded it
+    /// ([`RackCoordinator::meter`](coordinator::RackCoordinator::meter)).
     pub max_rack_violation_rate: f64,
 }
 
@@ -797,92 +353,42 @@ pub struct Figure5Hierarchy {
     pub scenarios: Vec<HierarchyScenario>,
 }
 
-/// Which coordination topology a hierarchy cell runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum HierarchyArm {
-    Uncoordinated,
-    Flat,
-    RackCoordinated,
-}
-
-impl HierarchyArm {
-    const ALL: [HierarchyArm; 3] = [
-        HierarchyArm::Uncoordinated,
-        HierarchyArm::Flat,
-        HierarchyArm::RackCoordinated,
-    ];
-
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            HierarchyArm::Uncoordinated => "uncoordinated",
-            HierarchyArm::Flat => "flat-coordinated",
-            HierarchyArm::RackCoordinated => "rack-coordinated",
-        }
-    }
-}
+/// The hierarchy topologies, in cell order.
+const HIERARCHY_ARMS: [(&str, Control); 3] = [
+    ("uncoordinated", Control::Local(Adaptation::Uncoordinated)),
+    ("flat-coordinated", Control::Flat(Coordination::MARKET)),
+    ("rack-coordinated", Control::Racks(Coordination::MARKET)),
+];
 
 impl Figure5Hierarchy {
-    /// Runs the hierarchy experiment on the rack-tagged extended mixes
-    /// with the workspace's canonical seed.
-    pub fn compute() -> Self {
-        Figure5Hierarchy::compute_with(2012)
-    }
-
-    /// [`Self::compute`] for an explicit seed.
-    pub fn compute_with(seed: u64) -> Self {
-        Figure5Hierarchy::compute_scenarios(&extended_scenario_mixes(seed), seed)
-    }
-
-    /// [`Self::compute`] with telemetry attached (the `fig5 --obs` path).
-    pub fn compute_obs() -> (Self, ObsSnapshot) {
-        let (figure, snapshot) =
-            Figure5Hierarchy::compute_scenarios_obs(&extended_scenario_mixes(2012), 2012, true);
-        (figure, snapshot.expect("observe=true yields a snapshot"))
-    }
-
-    /// Runs the experiment over explicit scenarios (tests use reduced
-    /// mixes). Every (scenario, topology) pair is one worker cell with a
-    /// seed derived from `(seed, scenario, topology)`, so results are
-    /// identical regardless of worker count or interleaving.
-    pub fn compute_scenarios(scenarios: &[Scenario], seed: u64) -> Self {
-        Figure5Hierarchy::compute_scenarios_obs(scenarios, seed, false).0
-    }
-
-    /// [`Self::compute_scenarios`] with telemetry (see
-    /// [`Figure5::compute_scenarios_obs`] for the merge contract).
-    pub fn compute_scenarios_obs(
-        scenarios: &[Scenario],
-        seed: u64,
-        observe: bool,
-    ) -> (Self, Option<ObsSnapshot>) {
+    /// Runs every (scenario, topology) cell of `spec` on the rack layout
+    /// (the fig5 binary runs the rack-tagged
+    /// [`workloads::extended_scenario_mixes`] under `--hierarchy`).
+    ///
+    /// The physical layout is identical across topologies, so the
+    /// comparison isolates the *coordination structure*: the scenario's
+    /// apps are placed on their tagged racks, each rack is one machine
+    /// (core oversubscription contends per rack), and one datacenter-wide
+    /// watt budget — stepping mid-run where the scenario says so — is
+    /// audited by a datacenter-level meter. Only who arbitrates differs:
+    /// nobody (uncoordinated), one flat coordinator spanning every rack,
+    /// or a [`DatacenterArbiter`](coordinator::DatacenterArbiter)
+    /// re-running the performance market over rack aggregates so budget
+    /// flows datacenter → rack → app.
+    pub fn compute(spec: &RunSpec) -> (Self, Option<ObsSnapshot>) {
         let server = XeonServer::dell_r410_calibrated();
-        let arms = HierarchyArm::ALL;
-        let cells: Vec<(ArmOutcome, f64, Option<ObsSnapshot>)> =
-            run_cells(scenarios.len() * arms.len(), |index| {
-                let scenario = &scenarios[index / arms.len()];
-                let arm = arms[index % arms.len()];
-                let cell_seed = seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(0x5ace_0000)
-                    .wrapping_add(index as u64);
-                let recorder = observe.then(|| Arc::new(Recorder::in_memory()));
-                let (outcome, worst_rack) =
-                    run_hierarchy_cell(&server, scenario, arm, cell_seed, recorder.as_ref());
-                let snapshot = recorder.map(|recorder| recorder.snapshot());
-                (outcome, worst_rack, snapshot)
+        let (outcomes, snapshot) =
+            run_arms(spec, HIERARCHY_ARMS.len(), 0x5ace_0000, |scenario, arm, seed, observer| {
+                let (name, control) = HIERARCHY_ARMS[arm];
+                let layout = Layout::Racks;
+                let run = ScenarioRun { server: &server, scenario, layout, control, seed, observer }
+                    .run(|_| {});
+                (run.arm_outcome(name), run.max_rack_violation_rate())
             });
-        let snapshot = observe.then(|| {
-            let mut merged = ObsSnapshot::empty();
-            for (_, _, cell) in &cells {
-                if let Some(cell) = cell {
-                    merged.merge(cell);
-                }
-            }
-            merged
-        });
-        let scenarios = scenarios
+        let scenarios = spec
+            .scenarios
             .iter()
-            .zip(cells.chunks(arms.len()))
+            .zip(outcomes)
             .map(|(scenario, outcomes)| HierarchyScenario {
                 name: scenario.name.clone(),
                 apps: scenario.apps.len(),
@@ -943,329 +449,24 @@ impl Figure5Hierarchy {
     }
 }
 
-/// The per-app decision state of one hierarchy topology.
-enum HierarchyControl {
-    Uncoordinated(Box<UncoordinatedRuntime>, HeartbeatedWorkload),
-    /// Handle within the single flat coordinator.
-    Flat(Option<AppHandle>),
-    /// Handle within the app's rack coordinator.
-    RackCoordinated(Option<AppHandle>),
-}
-
-/// Runs one (scenario, topology) hierarchy cell.
-///
-/// The physical layout is identical across topologies, so the comparison
-/// isolates the *coordination structure*: the scenario's apps are placed on
-/// their tagged racks, each rack is one machine (core oversubscription
-/// contends per rack), and one datacenter-wide watt budget — stepping
-/// mid-run where the scenario says so — is audited by a datacenter-level
-/// [`MachineMeter`]. Only who arbitrates differs: nobody (uncoordinated),
-/// one flat [`Coordinator`] spanning every rack, or a
-/// [`DatacenterArbiter`] re-running the performance market over rack
-/// aggregates so budget flows datacenter → rack → app.
-///
-/// Returns the arm outcome plus the worst per-rack envelope-violation rate
-/// (0.0 for the arms without rack meters).
-pub(crate) fn run_hierarchy_cell(
-    server: &XeonServer,
-    scenario: &Scenario,
-    arm: HierarchyArm,
-    seed: u64,
-    observer: Option<&Arc<Recorder>>,
-) -> (ArmOutcome, f64) {
-    let started = Instant::now();
-    let mut peak_fleet: u64 = 0;
-    let mut apps = build_apps(server, scenario);
-    let racks = scenario.rack_count();
-    let budget_range =
-        (server.max_power_watts() - server.idle_power_watts()) * racks as f64;
-    let budget = datacenter_budget_watts(server, scenario);
-    let mut meter = MachineMeter::new(budget);
-    // Fault-free scenarios carry no runtime and take byte-identical paths.
-    let mut faults = FaultRuntime::for_plan(&scenario.fault_plan, apps.len());
-
-    // Every coordinator in this arm shares the process-wide pool the cell
-    // itself already runs on (nested dispatch degrades gracefully, and
-    // Coordinator::with_pool exists precisely so racks share a host's
-    // workers instead of spawning one idle private pool each); the shard
-    // threshold then decides per step whether any fleet is big enough to
-    // fan out.
-    let mut flat_state: Option<Coordinator> = (arm == HierarchyArm::Flat).then(|| {
-        Coordinator::new(budget, Box::new(PerformanceMarket::default()))
-            .with_pool(std::sync::Arc::clone(exec::global_pool_arc()))
-    });
-    let mut datacenter_state: Option<DatacenterArbiter> =
-        (arm == HierarchyArm::RackCoordinated).then(|| {
-            let mut datacenter =
-                DatacenterArbiter::new(budget, Box::new(PerformanceMarket::default()));
-            for rack in 0..racks {
-                datacenter.add_rack(RackCoordinator::new(
-                    format!("rack-{rack}"),
-                    Coordinator::new(budget, Box::new(PerformanceMarket::default()))
-                        .with_pool(std::sync::Arc::clone(exec::global_pool_arc())),
-                ));
-            }
-            datacenter
-        });
-    if let Some(observer) = observer {
-        if let Some(coordinator) = flat_state.as_mut() {
-            coordinator.set_obs(Some(Arc::clone(observer)));
-        }
-        if let Some(datacenter) = datacenter_state.as_mut() {
-            datacenter.set_obs(Some(Arc::clone(observer)));
-        }
-    }
-
-    let mut controllers: Vec<HierarchyControl> = apps
-        .iter()
-        .enumerate()
-        .map(|(index, sim)| match arm {
-            HierarchyArm::Uncoordinated => {
-                let driver = heartbeated(sim);
-                let runtime = UncoordinatedRuntime::new_with(
-                    &driver.monitor(),
-                    xeon_actuators(server),
-                    seed.wrapping_add(index as u64),
-                    tuned,
-                )
-                .expect("actuators registered");
-                HierarchyControl::Uncoordinated(Box::new(runtime), driver)
-            }
-            HierarchyArm::Flat => HierarchyControl::Flat(None),
-            HierarchyArm::RackCoordinated => HierarchyControl::RackCoordinated(None),
-        })
-        .collect();
-
-    let mut now = 0.0;
-    let mut per_app_power = vec![0.0f64; apps.len()];
-    let mut rates = vec![0.0f64; apps.len()];
-    let mut rack_core_duty = vec![0.0f64; racks];
-    for quantum in 0..scenario.quanta {
-        let start = now;
-        now += QUANTUM_SECONDS;
-
-        // ---- Lifecycle: budget steps bind the meter; arrivals register
-        // with their topology's coordinator, departures retire.
-        let cap = scenario.budget_fraction_at(quantum) * budget_range;
-        if cap != meter.cap_watts() {
-            meter.set_cap(cap);
-        }
-        for (index, sim) in apps.iter().enumerate() {
-            let never_active = sim.spec.departure.is_some_and(|d| d <= sim.spec.arrival);
-            if sim.spec.arrival == quantum && !never_active {
-                if let Some(coordinator) = flat_state.as_mut() {
-                    let managed = managed_for(server, sim, seed, index);
-                    controllers[index] = HierarchyControl::Flat(Some(coordinator.register(managed)));
-                } else if let Some(datacenter) = datacenter_state.as_mut() {
-                    let managed = managed_for(server, sim, seed, index);
-                    controllers[index] = HierarchyControl::RackCoordinated(Some(
-                        datacenter.rack_mut(sim.spec.rack).register(managed),
-                    ));
-                }
-            }
-            if sim.spec.departure == Some(quantum) {
-                match &controllers[index] {
-                    HierarchyControl::Flat(Some(handle)) => {
-                        flat_state.as_mut().expect("flat arm").retire(*handle);
-                    }
-                    HierarchyControl::RackCoordinated(Some(handle)) => {
-                        datacenter_state
-                            .as_mut()
-                            .expect("rack arm")
-                            .rack_mut(sim.spec.rack)
-                            .retire(*handle);
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        // ---- Coordinated arms arbitrate and decide at the *start* of
-        // the quantum, after registration: a just-arrived app decides
-        // under an envelope before drawing its first watt (an envelope
-        // below its launch power admits it into the cheapest
-        // configuration), so arrival bursts cannot blow the cap during
-        // their own landing quantum. Mid-run budget steps bind the same
-        // way, with no violation lag.
-        if let Some(coordinator) = flat_state.as_mut() {
-            if cap != coordinator.budget_watts() {
-                coordinator.set_budget(cap);
-            }
-            coordinator.step(start).expect("every app declares a goal");
-        } else if let Some(datacenter) = datacenter_state.as_mut() {
-            if cap != datacenter.budget_watts() {
-                datacenter.set_budget(cap);
-            }
-            datacenter.step(start).expect("every app declares a goal");
-        }
-
-        // ---- Evaluate every active app under its current configuration.
-        rack_core_duty.fill(0.0);
-        let mut active_count: u64 = 0;
-        for (index, sim) in apps.iter().enumerate() {
-            per_app_power[index] = 0.0;
-            rates[index] = 0.0;
-            if !sim.active_at(quantum) {
-                continue;
-            }
-            active_count += 1;
-            if faults.as_ref().is_some_and(|f| !f.executes(index, quantum)) {
-                continue; // crashed: no cycles, no watts
-            }
-            let configuration = match &controllers[index] {
-                HierarchyControl::Uncoordinated(runtime, _) => {
-                    map_configuration(server, &runtime.joint_configuration())
-                }
-                HierarchyControl::Flat(handle) => {
-                    let handle = handle.expect("active apps have registered");
-                    let coordinator = flat_state.as_ref().expect("flat arm");
-                    map_configuration(
-                        server,
-                        coordinator.app(handle).runtime().current_configuration(),
-                    )
-                }
-                HierarchyControl::RackCoordinated(handle) => {
-                    let handle = handle.expect("active apps have registered");
-                    let datacenter = datacenter_state.as_ref().expect("rack arm");
-                    map_configuration(
-                        server,
-                        datacenter
-                            .rack(sim.spec.rack)
-                            .coordinator()
-                            .app(handle)
-                            .runtime()
-                            .current_configuration(),
-                    )
-                }
-            };
-            let report = server.evaluate(&to_server_demand(sim.demand_at(quantum)), &configuration);
-            rates[index] = report.work_units / report.seconds;
-            per_app_power[index] = report.power_above_idle_watts;
-            rack_core_duty[sim.spec.rack] +=
-                configuration.cores as f64 * configuration.active_cycle_fraction;
-        }
-
-        // ---- Time-multiplex each rack's machine independently: cores
-        // contend within a rack, never across racks.
-        let rack_contention: Vec<f64> = rack_core_duty
-            .iter()
-            .map(|&duty| {
-                if duty > server.total_cores() as f64 {
-                    server.total_cores() as f64 / duty
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-
-        let mut machine_power = 0.0;
-        for (index, sim) in apps.iter_mut().enumerate() {
-            if !sim.active_at(quantum) {
-                continue;
-            }
-            let contention = rack_contention[sim.spec.rack];
-            let mut work = rates[index] * contention * QUANTUM_SECONDS;
-            let mut power = per_app_power[index] * contention;
-            // The rack boundary is the physical metering (and, under
-            // Clamp, enforcement) point: it sees the rail, not the app's
-            // claim, so it admits the draw before anything else does.
-            if let HierarchyControl::RackCoordinated(Some(_)) = &controllers[index] {
-                (work, power) = datacenter_state
-                    .as_mut()
-                    .expect("rack arm")
-                    .rack_mut(sim.spec.rack)
-                    .admit(start, now, work, power);
-            }
-            machine_power += power;
-            sim.active_seconds += QUANTUM_SECONDS;
-            sim.work_done += work;
-            // The meter and attainment saw physical truth above; the
-            // platform sees only what the (possibly faulty) app reports.
-            let report = match faults.as_mut() {
-                None => Some((work, power)),
-                Some(f) => f.report(index, quantum, work, power),
-            };
-            let Some((reported_work, reported_power)) = report else {
-                continue; // stalled pipe or dead app: nothing arrives
-            };
-            match &mut controllers[index] {
-                HierarchyControl::Uncoordinated(_, driver) => {
-                    driver.advance_metered(start, now, reported_work, reported_power);
-                }
-                HierarchyControl::Flat(handle) => {
-                    let handle = handle.expect("active apps have registered");
-                    flat_state
-                        .as_mut()
-                        .expect("flat arm")
-                        .advance(handle, start, now, reported_work, reported_power);
-                }
-                HierarchyControl::RackCoordinated(handle) => {
-                    let handle = handle.expect("active apps have registered");
-                    datacenter_state
-                        .as_mut()
-                        .expect("rack arm")
-                        .rack_mut(sim.spec.rack)
-                        .advance_report(handle, start, now, reported_work, reported_power);
-                }
-            }
-        }
-        peak_fleet = peak_fleet.max(active_count);
-        let violations_before = meter.violation_intervals();
-        meter.record(QUANTUM_SECONDS, machine_power);
-        if let Some(observer) = observer {
-            observer.observe_fleet_size(active_count);
-            observer.add(
-                Counter::DatacenterMeterViolations,
-                meter.violation_intervals() - violations_before,
-            );
-        }
-
-        // ---- Uncoordinated apps decide at end of quantum (their
-        // decisions govern the next one; nothing budgets them anyway).
-        for (index, sim) in apps.iter().enumerate() {
-            if !sim.active_at(quantum) {
-                continue;
-            }
-            if let HierarchyControl::Uncoordinated(runtime, _) = &mut controllers[index] {
-                runtime.decide(now).expect("goal declared");
-            }
-        }
-    }
-
-    let attainments: Vec<f64> = apps.iter().map(AppSim::attainment).collect();
-    let goal_attainment = attainments.iter().sum::<f64>() / attainments.len().max(1) as f64;
-    let mean_power = meter.mean_watts();
-    let performance_per_watt = if mean_power > 0.0 {
-        attainments.iter().sum::<f64>() / mean_power
-    } else {
-        0.0
-    };
-    let max_rack_violation_rate = datacenter_state
-        .as_ref()
-        .map_or(0.0, |datacenter| {
-            datacenter
-                .racks()
-                .iter()
-                .map(|rack| rack.meter().violation_rate())
-                .fold(0.0, f64::max)
-        });
-    (
-        ArmOutcome {
-            name: arm.name().to_string(),
-            performance_per_watt,
-            goal_attainment,
-            cap_violation_rate: meter.violation_rate(),
-            mean_power_watts: mean_power,
-            peak_power_watts: meter.peak_watts(),
-            runtime: RuntimeBlock::measure(started, scenario.quanta, peak_fleet),
-        },
-        max_rack_violation_rate,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::Counter;
+    use workloads::scenario_mixes;
+
+    fn figure(scenarios: &[Scenario], seed: u64) -> Figure5 {
+        Figure5::compute(&RunSpec::new(seed, scenarios.to_vec())).0
+    }
+
+    fn observed(scenarios: &[Scenario], seed: u64) -> (Figure5, ObsSnapshot) {
+        let spec = RunSpec {
+            observe: true,
+            ..RunSpec::new(seed, scenarios.to_vec())
+        };
+        let (figure, snapshot) = Figure5::compute(&spec);
+        (figure, snapshot.expect("observe=true returns a snapshot"))
+    }
 
     fn reduced_scenarios(seed: u64) -> Vec<Scenario> {
         let mut scenarios = scenario_mixes(seed);
@@ -1283,7 +484,7 @@ mod tests {
 
     #[test]
     fn coordinated_beats_uncoordinated_and_holds_the_cap() {
-        let fig = Figure5::compute_scenarios(&reduced_scenarios(2012), 2012);
+        let fig = figure(&reduced_scenarios(2012), 2012);
         assert_eq!(fig.scenarios.len(), 3);
         for scenario in &fig.scenarios {
             assert!(
@@ -1314,10 +515,10 @@ mod tests {
     #[test]
     fn fig5_is_deterministic_across_runs_including_the_threaded_path() {
         let scenarios = reduced_scenarios(7);
-        let a = Figure5::compute_scenarios(&scenarios, 7);
-        let b = Figure5::compute_scenarios(&scenarios, 7);
+        let a = figure(&scenarios, 7);
+        let b = figure(&scenarios, 7);
         assert_eq!(a.canonical(), b.canonical());
-        let c = Figure5::compute_scenarios(&scenarios, 8);
+        let c = figure(&scenarios, 8);
         assert_ne!(a.canonical(), c.canonical(), "different seeds must differ");
         // The runtime block carries real measurements alongside the
         // deterministic gauge.
@@ -1331,11 +532,10 @@ mod tests {
     #[test]
     fn telemetry_is_passive_and_reconciles_with_the_arm_summaries() {
         let scenarios = reduced_scenarios(11);
-        let baseline = Figure5::compute_scenarios(&scenarios, 11);
-        let (observed, snapshot) = Figure5::compute_scenarios_obs(&scenarios, 11, true);
+        let baseline = figure(&scenarios, 11);
+        let (observed, snapshot) = observed(&scenarios, 11);
         // Telemetry must never perturb the figure.
         assert_eq!(baseline.canonical(), observed.canonical());
-        let snapshot = snapshot.expect("observe=true returns a snapshot");
 
         // Each of the three coordinated arms per scenario steps once per
         // quantum; the uncoordinated arms never touch a coordinator.
@@ -1388,6 +588,31 @@ mod tests {
         assert!(registers > 0);
     }
 
+    /// Every coordinated arm runs under the scenario's engine settings:
+    /// with a positive tolerance and sleep horizon, steady apps sleep
+    /// through quanta, and the cap still holds.
+    #[test]
+    fn coordinated_arms_apply_the_scenario_engine_settings() {
+        let mut scenarios = reduced_scenarios(2012);
+        for scenario in &mut scenarios {
+            scenario.arbitration_tolerance = 0.05;
+            scenario.wake_horizon = 8;
+            scenario.wake_steady_quanta = 2;
+        }
+        let (fig, snapshot) = observed(&scenarios, 2012);
+        assert!(
+            snapshot.counter(Counter::AppsSlept) > 0,
+            "the wake scheduler must put steady apps to sleep"
+        );
+        for scenario in &fig.scenarios {
+            assert_eq!(
+                scenario.coordinated.cap_violation_rate, 0.0,
+                "{}: the incremental engine must still hold the cap",
+                scenario.name
+            );
+        }
+    }
+
     /// The extended mixes, shrunk for a debug-profile test: fewer apps,
     /// fewer quanta, lifecycle events and budget steps clamped inside the
     /// shortened run.
@@ -1434,7 +659,7 @@ mod tests {
             scenarios[1].budget_steps.iter().any(|s| s.quantum < 28),
             "the reduced stepped mix must still step its budget"
         );
-        let fig = Figure5::compute_scenarios(&scenarios, 2012);
+        let fig = figure(&scenarios, 2012);
         for scenario in &fig.scenarios {
             assert_eq!(
                 scenario.coordinated.cap_violation_rate, 0.0,
@@ -1455,14 +680,15 @@ mod tests {
         // and the sharded coordinator path.
         assert_eq!(
             fig.canonical(),
-            Figure5::compute_scenarios(&scenarios, 2012).canonical()
+            figure(&scenarios, 2012).canonical()
         );
     }
 
     #[test]
     fn hierarchy_holds_the_datacenter_budget_across_rack_partitions() {
         let scenarios = reduced_hierarchy_scenarios(2012);
-        let fig = Figure5Hierarchy::compute_scenarios(&scenarios, 2012);
+        let spec = RunSpec::new(2012, scenarios.clone());
+        let fig = Figure5Hierarchy::compute(&spec).0;
         assert_eq!(fig.scenarios.len(), scenarios.len());
         for scenario in &fig.scenarios {
             assert!(
@@ -1512,8 +738,10 @@ mod tests {
         assert!(fig.to_table().contains("rack-coordinated"));
         // Deterministic across runs, including the pooled coordinator and
         // datacenter paths — and passive under telemetry.
-        let (observed, snapshot) =
-            Figure5Hierarchy::compute_scenarios_obs(&scenarios, 2012, true);
+        let (observed, snapshot) = Figure5Hierarchy::compute(&RunSpec {
+            observe: true,
+            ..spec
+        });
         assert_eq!(fig.canonical(), observed.canonical());
         let snapshot = snapshot.expect("observe=true returns a snapshot");
         // Flat arm: one coordinator step per quantum. Rack arm: one step

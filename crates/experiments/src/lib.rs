@@ -19,7 +19,10 @@
 //!   the calibrated R410 under a machine power budget, comparing
 //!   no-adaptation / uncoordinated composition / per-app SEEC / coordinated
 //!   SEEC (the [`coordinator`] subsystem) on goal-weighted perf/W and
-//!   cap-violation rate.
+//!   cap-violation rate. Every arm — and the chaos arms of [`chaos`] and
+//!   the scenario fuzzer's probe in [`fuzz`] — runs through one quantum
+//!   loop; each multi-application figure has one `compute` taking a
+//!   [`RunSpec`].
 //! * [`fleet`] — reproduction-specific: the million-app fleet-scaling
 //!   harness behind `fig5 --fleet N`, driving the coordinator's incremental
 //!   arbitration engine directly over synthetic request arrays with a
@@ -46,6 +49,7 @@ pub mod fig5;
 pub mod fleet;
 pub mod fuzz;
 pub mod pareto;
+mod run;
 pub mod sweep;
 
 pub use fig2::Figure2;
@@ -54,3 +58,4 @@ pub use fig4::{Figure4, Figure4Row};
 pub use chaos::{FigureChaos, FigureEnforce};
 pub use fig5::{ArmOutcome, Figure5, Figure5Hierarchy, Figure5Scenario, HierarchyScenario, RuntimeBlock};
 pub use fleet::FleetScalingReport;
+pub use run::RunSpec;

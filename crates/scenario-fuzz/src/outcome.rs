@@ -10,7 +10,8 @@ use serde::{Deserialize, Serialize};
 /// even when neither violates an invariant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PolicyPathCounters {
-    /// Per-app cap decisions taken across the run.
+    /// Per-app decisions over the run, one per app present at a stepped
+    /// quantum (a wake-scheduled sleeper counts the decision it holds).
     pub decisions: u64,
     /// Decisions whose observation window met the performance goal.
     pub goal_met: u64,

@@ -51,8 +51,8 @@ fn main() {
 
     // Figure 5's harness runs exactly this comparison; reuse it so the
     // example and the experiment can never disagree.
-    let figure =
-        angstrom_seec::experiments::Figure5::compute_scenarios(std::slice::from_ref(&scenario), 42);
+    let spec = angstrom_seec::experiments::RunSpec::new(42, vec![scenario]);
+    let (figure, _) = angstrom_seec::experiments::Figure5::compute(&spec);
     let result = &figure.scenarios[0];
     println!("regime                          perf/W   goal attainment  cap violations");
     for arm in [

@@ -187,13 +187,12 @@ proptest! {
     fn figure_json_is_byte_identical_under_fault_plans(seed in 0u64..1_000) {
         let scenarios = workloads::chaos_mixes(seed);
         let scenario = scenarios[(seed as usize) % scenarios.len()].clone();
-        let baseline =
-            experiments::FigureChaos::compute_scenarios(std::slice::from_ref(&scenario), seed);
-        let (observed, snapshot) = experiments::FigureChaos::compute_scenarios_obs(
-            std::slice::from_ref(&scenario),
-            seed,
-            true,
-        );
+        let spec = experiments::RunSpec::new(seed, vec![scenario]);
+        let baseline = experiments::FigureChaos::compute(&spec).0;
+        let (observed, snapshot) = experiments::FigureChaos::compute(&experiments::RunSpec {
+            observe: true,
+            ..spec
+        });
         let snapshot = snapshot.expect("observe=true yields a snapshot");
         let baseline_json = serde_json::to_string_pretty(&baseline.canonical())
             .expect("figure serialises");

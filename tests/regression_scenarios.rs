@@ -107,3 +107,55 @@ fn replaying_the_corpus_reproduces_every_pinned_verdict() {
         }
     }
 }
+
+fn fixture(name: &str) -> Fixture {
+    load_fixtures()
+        .into_iter()
+        .find(|(stem, _)| stem == name)
+        .unwrap_or_else(|| panic!("fixture {name} is pinned"))
+        .1
+}
+
+/// The policy-path counters count one decision per present app-quantum at
+/// most: an app that retired (or never arrived) takes no further
+/// decisions, however long the run goes on.
+#[test]
+fn decision_counters_cover_only_present_app_quanta() {
+    let server = XeonServer::dell_r410_calibrated();
+    for name in ["flat_market_limit_cycle", "perf_per_watt_cliff"] {
+        let fixture = fixture(name);
+        let scenario = &fixture.incident.scenario;
+        let present: u64 = scenario
+            .apps
+            .iter()
+            .map(|app| (0..scenario.quanta).filter(|&q| app.active_at(q)).count() as u64)
+            .sum();
+        let outcome = fuzz_probe(&server, scenario, fixture.seed);
+        assert!(
+            outcome.counters.decisions <= present,
+            "{name}: {} decisions counted over {present} present app-quanta",
+            outcome.counters.decisions
+        );
+        assert!(outcome.counters.decisions > 0, "{name}: the fleet decides");
+    }
+}
+
+/// An app the admission feasibility check refuses never launches, so it
+/// attains nothing by construction; the starvation oracle judges only
+/// admitted apps. The launch storm stretched to 24 quanta refuses app-6.
+#[test]
+fn starvation_oracle_skips_apps_refused_admission() {
+    let server = XeonServer::dell_r410_calibrated();
+    let fixture = fixture("cap_violation_launch_storm");
+    let mut scenario = fixture.incident.scenario.clone();
+    scenario.quanta = 24;
+    let outcome = fuzz_probe(&server, &scenario, fixture.seed);
+    let starved: Vec<_> = outcome
+        .violations
+        .iter()
+        .filter(|violation| {
+            matches!(violation, coordinator::invariants::InvariantViolation::Starvation { .. })
+        })
+        .collect();
+    assert!(starved.is_empty(), "refused apps were judged: {starved:?}");
+}
