@@ -46,7 +46,7 @@ fn substrates(c: &mut Criterion) {
         b.iter(|| {
             now += 0.01;
             issuer.heartbeat(now);
-            runtime.decide(now)
+            runtime.decide(now, f64::INFINITY)
         })
     });
 }

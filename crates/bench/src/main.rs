@@ -135,7 +135,7 @@ fn bench_decide(samples: usize, iterations: usize, mode: &'static str) -> Decide
                 now += 0.01;
                 issuer.heartbeat(now);
             }
-            black_box(runtime.decide(now).expect("goal registered"));
+            black_box(runtime.decide(now, f64::INFINITY).expect("goal registered"));
         }
         iterations
     });

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use exec::ExecPool;
 use heartbeats::{HeartbeatMonitor, MonitorObservation};
 use obs::{Counter, Event, EventKind, Recorder, Stage, StageClock};
-use seec::{CapDecision, SeecError, SeecRuntime};
+use seec::{Decision, SeecError, SeecRuntime};
 use workloads::{HeartbeatedWorkload, QuantumDemand};
 
 use crate::incremental::{IncrementalArbiter, WakeConfig};
@@ -151,7 +151,7 @@ pub struct ManagedApp {
     /// runtime's own estimator has observed real samples. 0 = unknown.
     nominal_power_hint: f64,
     awarded_watts: f64,
-    last_decision: Option<CapDecision>,
+    last_decision: Option<Decision>,
     /// Watchdog ladder state (inert until the coordinator enables a
     /// [`WatchdogConfig`]).
     health: HealthTracker,
@@ -275,7 +275,7 @@ impl ManagedApp {
     }
 
     /// The decision taken at the most recent step this app was active.
-    pub fn last_decision(&self) -> Option<CapDecision> {
+    pub fn last_decision(&self) -> Option<Decision> {
         self.last_decision
     }
 
@@ -570,11 +570,10 @@ fn decide_one(
     // from pool workers keeps the bucket counts deterministic; only the
     // wall-clock values vary.
     let clock = observer.map(|_| StageClock::start());
-    app.last_decision = Some(app.runtime.decide_under_power_cap_with_observation(
-        now,
-        observation,
-        max_powerup,
-    )?);
+    app.last_decision = Some(
+        app.runtime
+            .decide_with_observation(now, observation, max_powerup)?,
+    );
     if let (Some(observer), Some(clock)) = (observer, clock) {
         observer.count(booking);
         observer.time(Stage::Decision, clock.total());
@@ -728,7 +727,7 @@ struct FleetHot {
 ///    re-enters it.
 /// 5. **Decide** — each present, dirty participant's [`SeecRuntime`]
 ///    decides *under its envelope*
-///    ([`SeecRuntime::decide_under_power_cap_with_observation`]): the
+///    ([`SeecRuntime::decide_with_observation`]): the
 ///    envelope in watts becomes a powerup cap via the app's nominal-power
 ///    estimate, clamping the admissible configuration set to the prefix of
 ///    the model's power-sorted index.
@@ -1226,7 +1225,7 @@ impl Coordinator {
             let observation = app.monitor.observation();
             let _ = app
                 .runtime
-                .decide_under_power_cap_with_observation(self.last_now, &observation, 0.0);
+                .decide_with_observation(self.last_now, &observation, 0.0);
         }
         if self.observer.is_some() {
             if let Some(observer) = &self.observer {
@@ -1800,9 +1799,8 @@ mod tests {
                     let runtime = coordinator.app(handle).runtime();
                     runtime
                         .model()
-                        .space()
-                        .predicted_effect(runtime.current_configuration())
-                        .unwrap()
+                        .table()
+                        .declared_effect(runtime.current_config_id())
                 };
                 let rate = 10.0 * effect.performance;
                 let power = 10.0 * effect.power;
@@ -1833,9 +1831,8 @@ mod tests {
                     let runtime = coordinator.app(handle).runtime();
                     runtime
                         .model()
-                        .space()
-                        .predicted_effect(runtime.current_configuration())
-                        .unwrap()
+                        .table()
+                        .declared_effect(runtime.current_config_id())
                 };
                 coordinator.advance(
                     handle,
@@ -2067,9 +2064,8 @@ mod tests {
                         let runtime = coordinator.app(handle).runtime();
                         runtime
                             .model()
-                            .space()
-                            .predicted_effect(runtime.current_configuration())
-                            .unwrap()
+                            .table()
+                            .declared_effect(runtime.current_config_id())
                     };
                     coordinator.advance(
                         handle,
@@ -2227,9 +2223,8 @@ mod tests {
             let runtime = coordinator.app(handle).runtime();
             runtime
                 .model()
-                .space()
-                .predicted_effect(runtime.current_configuration())
-                .unwrap()
+                .table()
+                .declared_effect(runtime.current_config_id())
         };
         coordinator.advance(
             handle,
@@ -2404,9 +2399,8 @@ mod tests {
             let runtime = coordinator.app(handle).runtime();
             runtime
                 .model()
-                .space()
-                .predicted_effect(runtime.current_configuration())
-                .unwrap()
+                .table()
+                .declared_effect(runtime.current_config_id())
                 .power
         };
 
@@ -2497,9 +2491,8 @@ mod tests {
                     let runtime = coordinator.app(handle).runtime();
                     runtime
                         .model()
-                        .space()
-                        .predicted_effect(runtime.current_configuration())
-                        .unwrap()
+                        .table()
+                        .declared_effect(runtime.current_config_id())
                 };
                 coordinator.advance(handle, now - 1.0, now, 10.0 * effect.performance, 10.0 * effect.power);
             }

@@ -24,7 +24,7 @@
 //!
 //! Awarded watt envelopes become per-application *powerup caps*
 //! (`envelope / estimated nominal watts`), and each runtime decides under
-//! its cap ([`seec::SeecRuntime::decide_under_power_cap`]) — the admissible
+//! its cap ([`seec::SeecRuntime::decide_with_observation`]) — the admissible
 //! configuration set is clamped to the prefix of the model's power-sorted
 //! index, so arbitration costs no allocation and no extra model scans.
 //!

@@ -343,7 +343,7 @@ fn managed(slot: Slot, index: usize) -> ManagedApp {
 type Trace = Vec<(
     coordinator::StepSummary,
     Vec<u64>,
-    Vec<Option<seec::CapDecision>>,
+    Vec<Option<seec::Decision>>,
 )>;
 
 /// Drives a fleet for `quanta` steps at `tolerance` under `wake`, against
@@ -389,9 +389,8 @@ fn drive_traced(
                 let runtime = coordinator.app(handle).runtime();
                 runtime
                     .model()
-                    .space()
-                    .predicted_effect(runtime.current_configuration())
-                    .unwrap()
+                    .table()
+                    .declared_effect(runtime.current_config_id())
             };
             coordinator.advance(
                 handle,
@@ -528,9 +527,8 @@ proptest! {
                     let runtime = coordinator.app(handle).runtime();
                     runtime
                         .model()
-                        .space()
-                        .predicted_effect(runtime.current_configuration())
-                        .unwrap()
+                        .table()
+                        .declared_effect(runtime.current_config_id())
                 };
                 coordinator.advance(
                     handle,
@@ -621,9 +619,8 @@ proptest! {
                     let runtime = coordinator.app(handle).runtime();
                     runtime
                         .model()
-                        .space()
-                        .predicted_effect(runtime.current_configuration())
-                        .unwrap()
+                        .table()
+                        .declared_effect(runtime.current_config_id())
                 };
                 coordinator.advance(
                     handle,

@@ -560,8 +560,8 @@ impl LocalRuntime {
     /// Runs one decision period.
     pub(crate) fn decide(&mut self, now: f64) -> Result<(), SeecError> {
         match self {
-            LocalRuntime::Seec(runtime) => runtime.decide(now).map(drop),
-            LocalRuntime::Uncoordinated(runtime) => runtime.decide(now).map(drop),
+            LocalRuntime::Seec(runtime) => runtime.decide(now, f64::INFINITY).map(drop),
+            LocalRuntime::Uncoordinated(runtime) => runtime.decide(now),
         }
     }
 }

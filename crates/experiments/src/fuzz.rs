@@ -145,7 +145,7 @@ fn budget_step_count(scenario: &Scenario) -> u64 {
 }
 
 /// Tallies one app's post-step decision into the policy-path counters.
-fn count_decision(counters: &mut PolicyPathCounters, decision: Option<seec::CapDecision>) {
+fn count_decision(counters: &mut PolicyPathCounters, decision: Option<seec::Decision>) {
     let Some(decision) = decision else { return };
     counters.decisions += 1;
     match decision.goal_met {

@@ -57,7 +57,7 @@
 //!     let now = step as f64 * 0.01;
 //!     registry.issuer().heartbeat(now);
 //!     registry.monitor().record_power_sample(now, 10.0);
-//!     runtime.decide(now);
+//!     runtime.decide(now, f64::INFINITY).unwrap();
 //! }
 //! assert!(runtime.decisions_made() > 0);
 //! ```
@@ -77,6 +77,6 @@ pub mod uncoordinated;
 
 pub use error::SeecError;
 pub use model::{ActionModel, ExplorationPolicy};
-pub use runtime::{CapDecision, Decision, SeecRuntime, SeecRuntimeBuilder};
-pub use schedule::ActuationSchedule;
+pub use runtime::{Decision, SeecRuntime, SeecRuntimeBuilder};
+pub use schedule::IdSchedule;
 pub use uncoordinated::UncoordinatedRuntime;

@@ -2,36 +2,17 @@
 
 use actuation::{Actuator, ActuatorSpec, ConfigId, Configuration, ConfigurationSpace};
 use heartbeats::{HeartbeatMonitor, MonitorObservation};
-use serde::{Deserialize, Serialize};
 
 use crate::control::{KalmanEstimator, PiController};
 use crate::error::SeecError;
-use crate::model::{ActionModel, ExplorationPolicy};
-use crate::schedule::{ActuationSchedule, IdSchedule};
+use crate::model::{ActionModel, BelievedEffect, ExplorationPolicy};
+use crate::schedule::IdSchedule;
 
-/// The outcome of one decision period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Decision {
-    /// Configuration applied for the coming period.
-    pub configuration: Configuration,
-    /// Speedup over nominal the controller asked for.
-    pub required_speedup: f64,
-    /// The time-division schedule the configuration was drawn from.
-    pub schedule: ActuationSchedule,
-    /// Whether the performance goal was met over the last observation window
-    /// (`None` when too little has been observed).
-    pub goal_met: Option<bool>,
-    /// The runtime's current estimate of the application's heart rate in the
-    /// nominal configuration.
-    pub estimated_nominal_rate: f64,
-}
-
-/// The outcome of one power-capped decision period
-/// ([`SeecRuntime::decide_under_power_cap`]): plain `Copy` data over
-/// interned ids, so a coordinator stepping hundreds of applications per
-/// quantum allocates nothing per decision.
+/// The outcome of one decision period: plain `Copy` data over interned ids,
+/// so a coordinator stepping hundreds of applications per quantum allocates
+/// nothing per decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CapDecision {
+pub struct Decision {
     /// Interned handle of the configuration applied for the coming period.
     pub configuration: ConfigId,
     /// Speedup over nominal the controller asked for.
@@ -47,19 +28,6 @@ pub struct CapDecision {
     /// Believed power multiplier of the applied configuration — what the
     /// caller's envelope was checked against.
     pub believed_powerup: f64,
-}
-
-/// What [`SeecRuntime::decide_core`] resolves before any owned
-/// configuration is materialised: interned ids and `Copy` scalars only.
-#[derive(Debug, Clone, Copy)]
-struct CoreDecision {
-    applied: ConfigId,
-    schedule: IdSchedule,
-    required_speedup: f64,
-    goal_met: Option<bool>,
-    estimated_nominal_rate: f64,
-    upper_speedup: f64,
-    lower_speedup: f64,
 }
 
 /// Builder for [`SeecRuntime`].
@@ -202,12 +170,12 @@ impl SeecRuntimeBuilder {
             }
         }
         let specs: Vec<ActuatorSpec> = self.actuators.iter().map(|a| a.spec().clone()).collect();
-        let space = ConfigurationSpace::new(specs);
-        let current = space.nominal();
-        let mut model = ActionModel::new(space, self.seed);
+        let table = ConfigurationSpace::new(specs).table();
+        let current_id = table.nominal();
+        let current = table.config_of(current_id);
+        let mut model = ActionModel::new(table, self.seed);
         model.set_policy(self.policy);
         model.set_belief_halflife(self.belief_halflife);
-        let current_id = model.table().nominal();
         let mut history = std::collections::VecDeque::with_capacity(HISTORY_CAPACITY);
         history.push_back(AppliedSegment {
             start: f64::NEG_INFINITY,
@@ -282,7 +250,7 @@ pub struct SeecRuntime {
     power_estimator: KalmanEstimator,
     target_override: Option<f64>,
     /// The applied configuration, materialised for [`Self::current_configuration`];
-    /// kept in sync with `current_id` by in-place settings updates.
+    /// rebuilt from the table by `apply_id` whenever `current_id` changes.
     current: Configuration,
     /// Interned handle of `current` — what the hot path actually passes around.
     current_id: ConfigId,
@@ -344,7 +312,7 @@ impl SeecRuntime {
     /// configuration, in watts — `None` until at least one power sample has
     /// been attributed to the application. A coordinator divides an awarded
     /// watt envelope by this to obtain the powerup cap it hands to
-    /// [`Self::decide_under_power_cap`].
+    /// [`Self::decide`].
     pub fn estimated_nominal_power(&self) -> Option<f64> {
         self.power_estimator
             .is_initialised()
@@ -369,71 +337,13 @@ impl SeecRuntime {
         self.target_override
     }
 
-    /// Runs one observe–decide–act iteration at simulation time `now`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SeecError::NoGoal`] if neither the application nor the
-    /// builder specified a performance target, or an actuation error if a
-    /// chosen setting cannot be applied.
-    pub fn decide(&mut self, now: f64) -> Result<Decision, SeecError> {
-        // ---- Observe -------------------------------------------------
-        // One snapshot, one lock: stats, goal target, goal attainment, the
-        // last beat time, and mean power all come from the same read.
-        let observation = self.monitor.observation();
-        self.decide_with_observation(now, &observation)
-    }
-
-    /// [`Self::decide`] against a caller-supplied snapshot of this
-    /// runtime's monitor. Lets a caller that already holds an observation —
-    /// e.g. [`crate::UncoordinatedRuntime`], whose instances all watch the
-    /// same application — skip the redundant registry read; the result is
-    /// identical to `decide` as long as `observation` came from this
-    /// runtime's monitor and nothing beat in between.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::decide`].
-    pub fn decide_with_observation(
-        &mut self,
-        now: f64,
-        observation: &MonitorObservation,
-    ) -> Result<Decision, SeecError> {
-        let core = self.decide_core(now, observation, f64::INFINITY)?;
-        // Materialise owned configurations only for the Decision record the
-        // caller sees.
-        let table = self.model.table();
-        let schedule = if core.schedule.upper == core.schedule.lower {
-            ActuationSchedule::steady(
-                table.config_of(core.schedule.upper),
-                core.schedule.expected_speedup,
-            )
-        } else {
-            ActuationSchedule::bracketing(
-                table.config_of(core.schedule.upper),
-                core.upper_speedup,
-                table.config_of(core.schedule.lower),
-                core.lower_speedup,
-                core.required_speedup,
-            )
-        };
-        Ok(Decision {
-            configuration: self.current.clone(),
-            required_speedup: core.required_speedup,
-            schedule,
-            goal_met: core.goal_met,
-            estimated_nominal_rate: core.estimated_nominal_rate,
-        })
-    }
-
-    /// One observe–decide–act iteration restricted to configurations whose
-    /// believed power multiplier is at most `max_powerup` — the
-    /// decide-under-power-envelope entry point a multi-application
-    /// coordinator calls after arbitration. Selection, bracketing, and
-    /// exploration all run on the admissible prefix of the model's
-    /// power-sorted index; nothing is allocated on this path and the result
-    /// is plain `Copy` data. An infinite `max_powerup` behaves exactly like
-    /// [`Self::decide`].
+    /// Runs one observe–decide–act iteration at simulation time `now`,
+    /// restricted to configurations whose believed power multiplier is at
+    /// most `max_powerup` (`f64::INFINITY` means no envelope). A
+    /// multi-application coordinator passes the envelope it awarded; a
+    /// single application running alone passes `f64::INFINITY`. Selection,
+    /// bracketing, and exploration all run on the admissible prefix of the
+    /// model's power-sorted index over interned ids.
     ///
     /// When even the cheapest configuration's believed powerup exceeds the
     /// cap, the cheapest is applied — an application cannot run in no
@@ -467,61 +377,43 @@ impl SeecRuntime {
     ///         now += 0.02; // ~50 beats/s under the nominal configuration
     ///         registry.issuer().heartbeat(now);
     ///     }
-    ///     let decision = runtime.decide_under_power_cap(now, 1.5).unwrap();
+    ///     let decision = runtime.decide(now, 1.5).unwrap();
     ///     assert!(decision.believed_powerup <= 1.5);
     /// }
-    /// // Uncapped, the same runtime may pick the fast (2.6x power) setting.
-    /// let unrestricted = runtime.decide_under_power_cap(now, f64::INFINITY).unwrap();
+    /// // Without an envelope, the same runtime may pick the fast (2.6x power) setting.
+    /// let unrestricted = runtime.decide(now, f64::INFINITY).unwrap();
     /// assert!(unrestricted.required_speedup > 1.0);
     /// ```
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::decide`].
-    pub fn decide_under_power_cap(
-        &mut self,
-        now: f64,
-        max_powerup: f64,
-    ) -> Result<CapDecision, SeecError> {
+    /// Returns [`SeecError::NoGoal`] if neither the application nor the
+    /// builder specified a performance target, or an actuation error if a
+    /// chosen setting cannot be applied.
+    pub fn decide(&mut self, now: f64, max_powerup: f64) -> Result<Decision, SeecError> {
+        // One snapshot, one lock: stats, goal target, goal attainment, the
+        // last beat time, and mean power all come from the same read.
         let observation = self.monitor.observation();
-        self.decide_under_power_cap_with_observation(now, &observation, max_powerup)
+        self.decide_with_observation(now, &observation, max_powerup)
     }
 
-    /// [`Self::decide_under_power_cap`] against a caller-supplied snapshot
-    /// (see [`Self::decide_with_observation`] for the snapshot contract).
+    /// [`Self::decide`] against a caller-supplied snapshot of this
+    /// runtime's monitor. Lets a caller that already holds an observation —
+    /// a coordinator that snapshotted every app in its observe stage, or
+    /// [`crate::UncoordinatedRuntime`], whose instances all watch the same
+    /// application — skip the redundant registry read; the result is
+    /// identical to `decide` as long as `observation` came from this
+    /// runtime's monitor and nothing beat in between.
     ///
     /// # Errors
     ///
     /// Same contract as [`Self::decide`].
-    pub fn decide_under_power_cap_with_observation(
-        &mut self,
-        now: f64,
-        observation: &MonitorObservation,
-        max_powerup: f64,
-    ) -> Result<CapDecision, SeecError> {
-        let core = self.decide_core(now, observation, max_powerup)?;
-        let applied = self.model.believed(core.applied);
-        Ok(CapDecision {
-            configuration: core.applied,
-            required_speedup: core.required_speedup,
-            goal_met: core.goal_met,
-            estimated_nominal_rate: core.estimated_nominal_rate,
-            believed_speedup: applied.speedup,
-            believed_powerup: applied.powerup,
-        })
-    }
-
-    /// The full decision pipeline over interned ids: observe (from the
-    /// supplied snapshot), track, learn, select under `max_powerup`, and
-    /// act. Both the uncapped path (`max_powerup = ∞`, whose selections are
-    /// bit-identical to the historical `decide`) and the power-envelope
-    /// path run through here, so they can never drift apart.
-    fn decide_core(
+    pub fn decide_with_observation(
         &mut self,
         now: f64,
         obs: &MonitorObservation,
         max_powerup: f64,
-    ) -> Result<CoreDecision, SeecError> {
+    ) -> Result<Decision, SeecError> {
         let target = self
             .target_override
             .or(obs.target_heart_rate)
@@ -543,29 +435,19 @@ impl SeecRuntime {
             // capped path falls to the cheapest configuration (the floor
             // every envelope degrades to). Never taken by the uncapped
             // path (`max_powerup = ∞`), whose behaviour is unchanged.
-            if self.model.believed(self.current_id).powerup > max_powerup {
-                let (cheapest, _) = self.model.cheapest_id();
-                self.apply_id(cheapest)?;
-                let applied = self.model.believed(cheapest);
-                if self.history.len() == HISTORY_CAPACITY {
-                    self.history.pop_front();
-                }
-                self.history.push_back(AppliedSegment {
-                    start: now,
-                    id: cheapest,
-                    speedup: applied.speedup,
-                    powerup: applied.powerup,
-                });
+            let mut applied = self.model.believed(self.current_id);
+            if applied.powerup > max_powerup {
+                let (cheapest, _) = self.model.cheapest();
+                applied = self.act(now, cheapest)?;
             }
             self.decisions += 1;
-            return Ok(CoreDecision {
-                applied: self.current_id,
-                schedule: IdSchedule::steady(self.current_id, 1.0),
+            return Ok(Decision {
+                configuration: self.current_id,
                 required_speedup: 1.0,
                 goal_met,
                 estimated_nominal_rate: self.estimator.estimate(),
-                upper_speedup: 1.0,
-                lower_speedup: 1.0,
+                believed_speedup: applied.speedup,
+                believed_powerup: applied.powerup,
             });
         }
 
@@ -639,21 +521,21 @@ impl SeecRuntime {
                 _ => self.model.believed(self.current_id).powerup,
             };
             if speedup_obs.is_finite() && speedup_obs > 0.0 {
-                self.model.observe_id(self.current_id, speedup_obs, powerup_obs);
+                self.model.observe(self.current_id, speedup_obs, powerup_obs);
             }
         }
 
         // ---- Decide: classical control + model-based selection --------
-        // Selection and scheduling run entirely on interned ids: no
-        // settings vector is allocated anywhere on this path. Under a
-        // finite power cap both ends of the schedule come from the
-        // admissible prefix of the power index.
+        // Selection and scheduling run entirely on interned ids; the only
+        // allocation on this path is `apply_id` rebuilding `current` when
+        // the configuration changes. Under a finite power cap both ends of
+        // the schedule come from the admissible prefix of the power index.
         let required = self.controller.next_speedup(target, observed, base_rate);
-        let upper = self.model.choose_id_capped(required, self.current_id, max_powerup);
+        let upper = self.model.choose(required, self.current_id, max_powerup);
         let upper_speedup = self.model.believed(upper).speedup;
         let (lower, lower_speedup) = self
             .model
-            .bracket_below_id_capped(upper_speedup.min(required), max_powerup);
+            .bracket_below(upper_speedup.min(required), max_powerup);
         let schedule = if upper == lower {
             IdSchedule::steady(upper, upper_speedup)
         } else {
@@ -662,26 +544,15 @@ impl SeecRuntime {
         let next = schedule.id_for_period(&mut self.schedule_accumulator);
 
         // ---- Act -------------------------------------------------------
-        self.apply_id(next)?;
-        let applied = self.model.believed(next);
-        if self.history.len() == HISTORY_CAPACITY {
-            self.history.pop_front();
-        }
-        self.history.push_back(AppliedSegment {
-            start: now,
-            id: next,
-            speedup: applied.speedup,
-            powerup: applied.powerup,
-        });
+        let applied = self.act(now, next)?;
         self.decisions += 1;
-        Ok(CoreDecision {
-            applied: next,
-            schedule,
+        Ok(Decision {
+            configuration: next,
             required_speedup: required,
             goal_met,
             estimated_nominal_rate: base_rate,
-            upper_speedup,
-            lower_speedup,
+            believed_speedup: applied.speedup,
+            believed_powerup: applied.powerup,
         })
     }
 
@@ -739,6 +610,27 @@ impl SeecRuntime {
         }
     }
 
+    /// Applies `id` from `now` on and records the segment for window
+    /// attribution; returns the applied configuration's believed effect.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first actuation failure (see [`Self::apply_id`]).
+    fn act(&mut self, now: f64, id: ConfigId) -> Result<BelievedEffect, SeecError> {
+        self.apply_id(id)?;
+        let applied = self.model.believed(id);
+        if self.history.len() == HISTORY_CAPACITY {
+            self.history.pop_front();
+        }
+        self.history.push_back(AppliedSegment {
+            start: now,
+            id,
+            speedup: applied.speedup,
+            powerup: applied.powerup,
+        });
+        Ok(applied)
+    }
+
     /// Applies the interned configuration `id` to every registered actuator.
     /// No-ops (including the actuator round trips) when `id` is already
     /// current.
@@ -759,46 +651,6 @@ impl SeecRuntime {
         }
         self.current_id = id;
         self.current = self.model.table().config_of(id);
-        Ok(())
-    }
-
-    /// Applies `configuration` to every registered actuator. Positions the
-    /// configuration does not cover fall back to the actuator's nominal
-    /// setting, and the stored current configuration is the canonical
-    /// full-arity form.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first actuation failure; earlier actuators keep the
-    /// settings already applied.
-    pub fn apply(&mut self, configuration: &Configuration) -> Result<(), SeecError> {
-        for (position, actuator) in self.actuators.iter_mut().enumerate() {
-            let setting = configuration
-                .setting(position)
-                .unwrap_or_else(|| actuator.spec().nominal());
-            if actuator.current() != setting {
-                actuator.apply(setting)?;
-            }
-        }
-        // Canonicalise: every setting just applied is valid, so the interned
-        // id always exists.
-        let applied = Configuration::new(
-            self.actuators
-                .iter()
-                .enumerate()
-                .map(|(position, actuator)| {
-                    configuration
-                        .setting(position)
-                        .unwrap_or_else(|| actuator.spec().nominal())
-                })
-                .collect(),
-        );
-        self.current_id = self
-            .model
-            .table()
-            .id_of(&applied)
-            .expect("applied settings are valid for the space");
-        self.current = applied;
         Ok(())
     }
 }
@@ -844,6 +696,14 @@ mod tests {
             .unwrap()
     }
 
+    /// The declared effect of the configuration `runtime` has applied.
+    fn declared_effect(runtime: &SeecRuntime) -> actuation::PredictedEffect {
+        runtime
+            .model()
+            .table()
+            .declared_effect(runtime.current_config_id())
+    }
+
     fn no_exploration() -> ExplorationPolicy {
         ExplorationPolicy {
             epsilon: 0.0,
@@ -873,11 +733,7 @@ mod tests {
         for _ in 0..periods {
             // The "true" behaviour of the platform mirrors the declared
             // effects exactly (the model starts correct in this test).
-            let effect = runtime
-                .model()
-                .space()
-                .predicted_effect(runtime.current_configuration())
-                .unwrap();
+            let effect = declared_effect(&runtime);
             let rate = nominal_rate * effect.performance;
             let power = 10.0 * effect.power;
             // Emit a window's worth of beats at that rate.
@@ -886,7 +742,7 @@ mod tests {
                 issuer.heartbeat(now);
             }
             monitor.record_power_sample(now, power);
-            runtime.decide(now).unwrap();
+            runtime.decide(now, f64::INFINITY).unwrap();
             rates.push(rate);
         }
         // Time-division schedules alternate between bracketing settings, so
@@ -920,7 +776,7 @@ mod tests {
             .actuator(Box::new(TableActuator::new(dvfs_spec())))
             .build()
             .unwrap();
-        assert!(matches!(runtime.decide(0.0), Err(SeecError::NoGoal)));
+        assert!(matches!(runtime.decide(0.0, f64::INFINITY), Err(SeecError::NoGoal)));
     }
 
     #[test]
@@ -982,7 +838,7 @@ mod tests {
                 issuer.heartbeat(now);
             }
             monitor.record_power_sample(now, 10.0 * speedup);
-            runtime.decide(now).unwrap();
+            runtime.decide(now, f64::INFINITY).unwrap();
             rates.push(rate);
         }
 
@@ -1004,7 +860,7 @@ mod tests {
         // must approach the true delivered rate — with learning shut off it
         // stays pinned to the optimistic declared prediction.
         let steady = runtime.current_configuration().clone();
-        let believed = runtime.model().believed_effect(&steady);
+        let believed = runtime.model().believed(runtime.current_config_id());
         assert!(
             believed.observations > 0,
             "the steady-state configuration must have been observed"
@@ -1023,11 +879,7 @@ mod tests {
         // Target of 6 beats/s with nominal 10: the cheap (slow) settings are
         // sufficient, so SEEC should not run flat out.
         let (runtime, _) = run_closed_loop(6.0, 10.0, 60);
-        let effect = runtime
-            .model()
-            .space()
-            .predicted_effect(runtime.current_configuration())
-            .unwrap();
+        let effect = declared_effect(&runtime);
         assert!(
             effect.power < 1.5,
             "easy goals must not be met with expensive configurations (power {})",
@@ -1045,8 +897,8 @@ mod tests {
             .actuator(Box::new(TableActuator::new(dvfs_spec())))
             .build()
             .unwrap();
-        let nominal = runtime.current_configuration().clone();
-        let decision = runtime.decide(0.0).unwrap();
+        let nominal = runtime.current_config_id();
+        let decision = runtime.decide(0.0, f64::INFINITY).unwrap();
         assert_eq!(decision.configuration, nominal);
         assert_eq!(decision.required_speedup, 1.0);
         assert_eq!(decision.goal_met, None);
@@ -1067,7 +919,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_forwards_settings_to_every_actuator() {
+    fn apply_id_forwards_settings_to_every_actuator() {
         let registry = HeartbeatRegistry::new("app");
         let mut runtime = SeecRuntime::builder(registry.monitor())
             .actuator(Box::new(TableActuator::new(dvfs_spec())))
@@ -1076,46 +928,13 @@ mod tests {
             .build()
             .unwrap();
         let config = Configuration::new(vec![2, 1]);
-        runtime.apply(&config).unwrap();
+        let id = runtime.model().table().id_of(&config).unwrap();
+        runtime.apply_id(id).unwrap();
         assert_eq!(runtime.current_configuration(), &config);
+        assert_eq!(runtime.current_config_id(), id);
+        let settings: Vec<_> = runtime.actuators.iter().map(|a| a.current()).collect();
+        assert_eq!(settings, config.settings());
         assert!(format!("{runtime:?}").contains("SeecRuntime"));
-    }
-
-    #[test]
-    fn infinite_power_cap_reproduces_the_uncapped_run() {
-        // Two identical closed loops, one driven through decide(), one
-        // through decide_under_power_cap(∞): applied configurations must
-        // match step for step.
-        let run = |capped: bool| {
-            let registry = HeartbeatRegistry::new("app");
-            registry
-                .issuer()
-                .set_goal(Goal::Performance(PerformanceGoal::heart_rate(20.0)));
-            let mut runtime = SeecRuntime::builder(registry.monitor())
-                .actuator(Box::new(TableActuator::new(dvfs_spec())))
-                .actuator(Box::new(TableActuator::new(cores_spec())))
-                .seed(3)
-                .build()
-                .unwrap();
-            let issuer = registry.issuer();
-            let mut now = 0.0;
-            let mut configs = Vec::new();
-            for _ in 0..30 {
-                for _ in 0..4 {
-                    now += 0.05;
-                    issuer.heartbeat(now);
-                }
-                if capped {
-                    let decision = runtime.decide_under_power_cap(now, f64::INFINITY).unwrap();
-                    configs.push(runtime.model().table().config_of(decision.configuration));
-                } else {
-                    let decision = runtime.decide(now).unwrap();
-                    configs.push(decision.configuration);
-                }
-            }
-            configs
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]
@@ -1138,18 +957,14 @@ mod tests {
         let cap = 2.1;
         let mut now = 0.0;
         for _ in 0..40 {
-            let effect = runtime
-                .model()
-                .space()
-                .predicted_effect(runtime.current_configuration())
-                .unwrap();
+            let effect = declared_effect(&runtime);
             let rate = 10.0 * effect.performance;
             for _ in 0..8 {
                 now += 1.0 / rate;
                 issuer.heartbeat(now);
             }
             monitor.record_power_sample(now, 10.0 * effect.power);
-            let decision = runtime.decide_under_power_cap(now, cap).unwrap();
+            let decision = runtime.decide(now, cap).unwrap();
             assert!(
                 decision.believed_powerup <= cap + 1e-9,
                 "applied powerup {} exceeds the {cap} envelope",
@@ -1179,8 +994,9 @@ mod tests {
         // Manually park the app in the most expensive configuration, then
         // cut its envelope while it emits no beats: the capped decide must
         // not leave it over-envelope just because feedback is missing.
-        runtime.apply(&Configuration::new(vec![2, 2])).unwrap();
-        let decision = runtime.decide_under_power_cap(1.0, 0.5).unwrap();
+        let most_expensive = runtime.model().table().id_of(&Configuration::new(vec![2, 2])).unwrap();
+        runtime.apply_id(most_expensive).unwrap();
+        let decision = runtime.decide(1.0, 0.5).unwrap();
         assert_eq!(
             runtime.current_configuration(),
             &Configuration::new(vec![0, 0]),
@@ -1188,8 +1004,8 @@ mod tests {
         );
         assert!(decision.goal_met.is_none());
         // The uncapped stall path still keeps the current configuration.
-        runtime.apply(&Configuration::new(vec![2, 2])).unwrap();
-        let _ = runtime.decide(2.0).unwrap();
+        runtime.apply_id(most_expensive).unwrap();
+        let _ = runtime.decide(2.0, f64::INFINITY).unwrap();
         assert_eq!(runtime.current_configuration(), &Configuration::new(vec![2, 2]));
     }
 
@@ -1218,7 +1034,7 @@ mod tests {
                     now += 0.05;
                     issuer.heartbeat(now);
                 }
-                configs.push(runtime.decide(now).unwrap().configuration);
+                configs.push(runtime.decide(now, f64::INFINITY).unwrap().configuration);
             }
             configs
         };
@@ -1255,7 +1071,7 @@ mod tests {
                     now += 0.05;
                     issuer.heartbeat(now);
                 }
-                configs.push(runtime.decide(now).unwrap().configuration);
+                configs.push(runtime.decide(now, f64::INFINITY).unwrap().configuration);
             }
             configs
         };

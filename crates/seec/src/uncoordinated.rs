@@ -13,7 +13,7 @@ use heartbeats::HeartbeatMonitor;
 
 use crate::error::SeecError;
 use crate::model::ExplorationPolicy;
-use crate::runtime::{Decision, SeecRuntime};
+use crate::runtime::SeecRuntime;
 
 /// A bundle of independent single-actuator SEEC runtimes sharing one goal.
 pub struct UncoordinatedRuntime {
@@ -86,8 +86,8 @@ impl UncoordinatedRuntime {
         self.runtimes.len()
     }
 
-    /// Runs one decision period of every instance and returns the combined
-    /// joint configuration (instance `i` controls position `i`).
+    /// Runs one decision period of every instance (instance `i` controls
+    /// position `i` of [`Self::joint_configuration`]).
     ///
     /// Every instance observes the same application, so the registry is
     /// snapshotted once and shared — one lock acquisition per decision
@@ -98,12 +98,12 @@ impl UncoordinatedRuntime {
     /// # Errors
     ///
     /// Propagates the first error from any instance.
-    pub fn decide(&mut self, now: f64) -> Result<Vec<Decision>, SeecError> {
+    pub fn decide(&mut self, now: f64) -> Result<(), SeecError> {
         let observation = self.monitor.observation();
-        self.runtimes
-            .iter_mut()
-            .map(|r| r.decide_with_observation(now, &observation))
-            .collect()
+        for runtime in &mut self.runtimes {
+            runtime.decide_with_observation(now, &observation, f64::INFINITY)?;
+        }
+        Ok(())
     }
 
     /// The joint configuration currently applied across all instances.
@@ -189,8 +189,7 @@ mod tests {
                 now += 0.1;
                 issuer.heartbeat(now);
             }
-            let decisions = uncoordinated.decide(now).unwrap();
-            assert_eq!(decisions.len(), 2);
+            uncoordinated.decide(now).unwrap();
         }
         assert_eq!(uncoordinated.decisions_made(), 40);
         let joint = uncoordinated.joint_configuration();

@@ -47,7 +47,7 @@ fn main() {
         now += report.seconds;
         app.advance(now, report.work_units);
         monitor.record_power_sample(now, report.power_above_idle_watts);
-        let _ = runtime.decide(now);
+        let _ = runtime.decide(now, f64::INFINITY);
 
         if i % 10 == 0 {
             println!(

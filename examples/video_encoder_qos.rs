@@ -59,7 +59,7 @@ fn main() {
             last_report_power = report.average_power_watts;
         }
         monitor.record_power_sample(now, last_report_power);
-        let _ = runtime.decide(now);
+        let _ = runtime.decide(now, f64::INFINITY);
 
         println!(
             "{:6}  {:5}  {:8.0}  {:3}  {:11.1}  {:12.3}",

@@ -35,7 +35,7 @@ fn seec_closes_the_loop_on_the_xeon_server() {
         above_idle_energy += report.power_above_idle_watts * report.seconds;
         app.advance(now, report.work_units);
         monitor.record_power_sample(now, report.power_above_idle_watts);
-        runtime.decide(now).expect("goal registered");
+        runtime.decide(now, f64::INFINITY).expect("goal registered");
     }
 
     let achieved = app.completed_work() / now;
@@ -124,7 +124,7 @@ fn seec_controls_the_angstrom_chip_through_hardware_actuators() {
         let now = chip.now();
         app.advance(now, report.work_units);
         monitor.record_power_sample(now, report.average_power_watts);
-        runtime.decide(now).expect("goal registered");
+        runtime.decide(now, f64::INFINITY).expect("goal registered");
     }
 
     assert!(runtime.decisions_made() as usize >= quanta.len());
