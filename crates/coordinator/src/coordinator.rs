@@ -463,7 +463,7 @@ pub struct StepSummary {
     pub quantum: usize,
     /// Applications present this quantum.
     pub active_apps: usize,
-    /// Watts handed out across the fleet (≤ budget × headroom).
+    /// Watts handed out across the fleet (≤ budget × [`Coordinator::HEADROOM`]).
     pub awarded_watts_total: f64,
 }
 
@@ -772,7 +772,6 @@ pub struct Coordinator {
     apps: Vec<ManagedApp>,
     policy: Box<dyn ArbitrationPolicy>,
     budget_watts: f64,
-    headroom: f64,
     quantum: usize,
     /// Persistent worker pool the per-app stages shard across (`None` =
     /// everything inline). Sized once by [`Self::set_workers`] (or shared
@@ -852,7 +851,6 @@ impl Coordinator {
             apps: Vec::new(),
             policy,
             budget_watts,
-            headroom: 0.95,
             quantum: 0,
             pool: None,
             shard_threshold: Self::DEFAULT_SHARD_THRESHOLD,
@@ -932,6 +930,12 @@ impl Coordinator {
         }
     }
 
+    /// The fraction of the budget actually handed out. The margin absorbs
+    /// model error: envelopes are enforced against each app's *believed*
+    /// power multipliers, which learning keeps close to — but never exactly
+    /// at — the platform's true draws.
+    pub const HEADROOM: f64 = 0.95;
+
     /// Default [`Self::shard_threshold`]: fleets below 64 apps step inline
     /// even when a pool is attached, because at the fleet sizes tracked in
     /// `BENCH_fig5.json` the fan-out hand-off outgrows the per-app decide
@@ -1003,23 +1007,6 @@ impl Coordinator {
         self.pool.as_ref().map_or(1, |pool| pool.threads())
     }
 
-    /// Sets the fraction of the budget actually handed out (default 0.95).
-    /// The margin absorbs model error: envelopes are enforced against each
-    /// app's *believed* power multipliers, which learning keeps close to —
-    /// but never exactly at — the platform's true draws.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `headroom` is in `(0, 1]`.
-    pub fn with_headroom(mut self, headroom: f64) -> Self {
-        assert!(
-            headroom > 0.0 && headroom <= 1.0,
-            "headroom must be in (0, 1], got {headroom}"
-        );
-        self.headroom = headroom;
-        self
-    }
-
     /// Enables or disables the per-app watchdog (default: disabled). With a
     /// config attached, every step runs the degradation ladder —
     /// [`HealthState`] transitions driven by stale heartbeats, non-finite
@@ -1061,12 +1048,6 @@ impl Coordinator {
         self
     }
 
-    /// Changes admission control mid-run (see
-    /// [`Self::with_admission_control`]).
-    pub fn set_admission_control(&mut self, enabled: bool) {
-        self.admission_control = enabled;
-    }
-
     /// Whether mid-run registrations are admission-controlled.
     pub fn admission_control(&self) -> bool {
         self.admission_control
@@ -1090,12 +1071,6 @@ impl Coordinator {
     pub fn with_admission_feasibility(mut self, enabled: bool) -> Self {
         self.admission_feasibility = enabled;
         self
-    }
-
-    /// Changes the admission feasibility pre-check mid-run (see
-    /// [`Self::with_admission_feasibility`]).
-    pub fn set_admission_feasibility(&mut self, enabled: bool) {
-        self.admission_feasibility = enabled;
     }
 
     /// Whether the admission feasibility pre-check is enabled.
@@ -1272,7 +1247,7 @@ impl Coordinator {
                     .filter(|resident| resident.departure.is_none_or(|d| d > quantum))
                     .map(committed_floor_watts)
                     .sum();
-                let cap = self.budget_watts * self.headroom;
+                let cap = self.budget_watts * Self::HEADROOM;
                 if committed + floor > cap {
                     let error = AdmissionError {
                         app: app.name().to_string(),
@@ -1570,7 +1545,7 @@ impl Coordinator {
         // engine makes byte-for-byte the full-fold policy call.
         let outcome = self.engine.arbitrate(
             self.policy.as_mut(),
-            self.budget_watts * self.headroom,
+            self.budget_watts * Self::HEADROOM,
             &self.requests,
             &mut self.awards,
         );
@@ -2457,12 +2432,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn non_positive_budget_panics() {
         let _ = Coordinator::new(0.0, Box::new(StaticShare));
-    }
-
-    #[test]
-    #[should_panic(expected = "headroom")]
-    fn out_of_range_headroom_panics() {
-        let _ = Coordinator::new(10.0, Box::new(StaticShare)).with_headroom(1.5);
     }
 
     /// Runs a 3-app fleet for 20 quanta at `workers` threads, optionally

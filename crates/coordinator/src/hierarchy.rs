@@ -33,7 +33,7 @@
 //! ## The flat coordinator is the 1-rack degenerate case
 //!
 //! With a single rack under a [`StaticShare`](crate::StaticShare)
-//! datacenter policy and the default datacenter headroom of 1.0, the rack
+//! datacenter policy (the datacenter keeps no headroom of its own), the rack
 //! is awarded `min(budget, Σ app ceilings)`; whenever the fleet can absorb
 //! the budget (the common case — any app whose power draw is still unknown
 //! absorbs the whole budget by construction), that is *exactly* the
@@ -159,12 +159,6 @@ impl RackCoordinator {
     pub fn with_enforcement(mut self, mode: EnforcementMode) -> Self {
         self.enforcement = mode;
         self
-    }
-
-    /// Replaces the rack's [`EnforcementMode`] mid-run (takes effect on the
-    /// next [`Self::advance`]).
-    pub fn set_enforcement(&mut self, mode: EnforcementMode) {
-        self.enforcement = mode;
     }
 
     /// The rack's current [`EnforcementMode`].
@@ -376,7 +370,7 @@ pub struct DatacenterStepSummary {
     pub active_racks: usize,
     /// Applications present across all racks.
     pub active_apps: usize,
-    /// Watts the datacenter handed to racks (≤ budget × headroom).
+    /// Watts the datacenter handed to racks (≤ budget).
     pub rack_awarded_watts_total: f64,
     /// Watts the racks handed on to applications (≤ the rack total: each
     /// rack keeps its own headroom margin).
@@ -394,7 +388,6 @@ pub struct DatacenterArbiter {
     racks: Vec<RackCoordinator>,
     policy: Box<dyn ArbitrationPolicy>,
     budget_watts: f64,
-    headroom: f64,
     quantum: usize,
     /// Pool the per-rack phases (observe, step) fan out on; `None` =
     /// inline. Racks' own coordinators may share this pool or run their
@@ -422,9 +415,10 @@ impl std::fmt::Debug for DatacenterArbiter {
 
 impl DatacenterArbiter {
     /// An arbiter splitting `budget_watts` (datacenter power above idle)
-    /// across racks under `policy`. The datacenter headroom defaults to
-    /// 1.0 — each rack's coordinator already keeps its own margin, and
-    /// stacking a second one would double-discount the budget.
+    /// across racks under `policy`. The whole budget is handed to racks —
+    /// each rack's coordinator already keeps its own margin
+    /// ([`Coordinator::HEADROOM`]), and stacking a second one would
+    /// double-discount the budget.
     ///
     /// # Panics
     ///
@@ -435,7 +429,6 @@ impl DatacenterArbiter {
             racks: Vec::new(),
             policy,
             budget_watts,
-            headroom: 1.0,
             quantum: 0,
             pool: None,
             requests: Vec::new(),
@@ -462,21 +455,6 @@ impl DatacenterArbiter {
             rack.coordinator.set_event_deferral(recorder.is_some());
         }
         self.observer = recorder;
-    }
-
-    /// Sets the fraction of the datacenter budget handed to racks
-    /// (default 1.0; see [`Self::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `headroom` is in `(0, 1]`.
-    pub fn with_headroom(mut self, headroom: f64) -> Self {
-        assert!(
-            headroom > 0.0 && headroom <= 1.0,
-            "headroom must be in (0, 1], got {headroom}"
-        );
-        self.headroom = headroom;
-        self
     }
 
     /// Fans the per-rack phases of [`Self::step`] out across `workers`
@@ -616,11 +594,8 @@ impl DatacenterArbiter {
         drop(tasks);
 
         // ---- Phase 2: arbitrate (sequential deterministic fold) -----
-        self.policy.arbitrate(
-            self.budget_watts * self.headroom,
-            &self.requests,
-            &mut self.awards,
-        );
+        self.policy
+            .arbitrate(self.budget_watts, &self.requests, &mut self.awards);
 
         // ---- Phase 3: step each rack under its envelope (pooled) ----
         struct StepTask<'a> {
@@ -1080,9 +1055,4 @@ mod tests {
         let _ = DatacenterArbiter::new(0.0, Box::new(StaticShare));
     }
 
-    #[test]
-    #[should_panic(expected = "headroom")]
-    fn out_of_range_datacenter_headroom_panics() {
-        let _ = DatacenterArbiter::new(10.0, Box::new(StaticShare)).with_headroom(0.0);
-    }
 }

@@ -238,7 +238,7 @@ proptest! {
                     .iter()
                     .map(|rack| rack.coordinator().awards().iter().sum())
                     .collect(),
-                headroom: 0.95,
+                headroom: coordinator::Coordinator::HEADROOM,
             };
             let violations = check_hierarchy_conservation(&totals);
             prop_assert!(

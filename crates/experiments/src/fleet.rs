@@ -17,14 +17,10 @@
 //!   (`skipped + rearbitrated == active app-quanta` — the same identity the
 //!   coordinator's obs counters satisfy), and the scheduled arm's four-way
 //!   twin (`slept + skipped + rearbitrated == active app-quanta`);
-//! * two differential checks: an incremental engine pinned at tolerance
+//! * a differential check: an incremental engine pinned at tolerance
 //!   **0** (wake explicitly [`WakeConfig::OFF`]) runs the same trace and its
-//!   award vector is compared *bit-for-bit* against the full fold every
-//!   quantum ([`FleetScalingReport::tolerance_zero_identical`]), and a
-//!   horizon-**0** engine at [`FLEET_TOLERANCE`] is compared bit-for-bit
-//!   against the plain incremental arm
-//!   ([`FleetScalingReport::horizon_zero_identical`]) — the degenerate
-//!   scheduler must vanish without a trace.
+//!   award vector is compared *bit-for-bit* against the raw policy fold
+//!   every quantum ([`FleetScalingReport::tolerance_zero_identical`]).
 //!
 //! The scheduled arm treats each churned request as a **wake event** for its
 //! slot (the raw-engine twin of the coordinator's wake calendar and
@@ -33,7 +29,7 @@
 //!
 //! Every run is deterministic: the request trace comes from a splitmix64
 //! stream seeded only by the fleet size, so two invocations at the same size
-//! produce identical counters and identical differential verdicts (only the
+//! produce identical counters and an identical differential verdict (only the
 //! wall-clock timings vary). Reports merge into `BENCH_fig5.json` under the
 //! `fleet_scaling` key via [`merge_fleet_scaling`], replacing any previous
 //! row at the same fleet size and leaving the rest of the file untouched —
@@ -120,10 +116,6 @@ pub struct FleetScalingReport {
     /// apps_rearbitrated_scheduled == active_app_quanta` — the scheduled
     /// arm's four-way ledger identity.
     pub scheduled_counters_reconcile: bool,
-    /// Whether a horizon-0 engine at [`Self::tolerance`] produced awards
-    /// **bit-identical** to the plain incremental arm on every quantum —
-    /// the degenerate scheduler leaves no trace.
-    pub horizon_zero_identical: bool,
 }
 
 /// Deterministic splitmix64 stream: the only randomness in the harness, so
@@ -200,28 +192,22 @@ impl FleetScalingReport {
         let budget_watts = 10.0 * fleet as f64;
         let churn = ((fleet as f64 * FLEET_CHURN_FRACTION) as usize).max(1);
 
-        // Five engines in lockstep over the identical request trace. Each
+        // Four engines in lockstep over the identical request trace. Each
         // gets its own policy instance so any internal policy state evolves
         // under exactly the calls that path would make on its own.
         let wake = WakeConfig::default();
         let mut full_policy = PerformanceMarket::default();
         let mut incremental_policy = PerformanceMarket::default();
         let mut scheduled_policy = PerformanceMarket::default();
-        let mut gate_policy = PerformanceMarket::default();
         let mut zero_policy = PerformanceMarket::default();
         let mut incremental = IncrementalArbiter::new(FLEET_TOLERANCE);
         let mut scheduled = IncrementalArbiter::new(FLEET_TOLERANCE).with_wake(wake);
-        // The two differential arms take the *configured* path with the
-        // degenerate knob value, so the comparisons pin the knob itself.
-        let mut gate = IncrementalArbiter::new(FLEET_TOLERANCE).with_wake(WakeConfig {
-            steady_quanta: wake.steady_quanta,
-            horizon: 0,
-        });
+        // The differential arm takes the *configured* path with the
+        // degenerate knob value, so the comparison pins the knob itself.
         let mut zero = IncrementalArbiter::new(0.0).with_wake(WakeConfig::OFF);
         let mut full_awards = Vec::new();
         let mut incremental_awards = Vec::new();
         let mut scheduled_awards = Vec::new();
-        let mut gate_awards = Vec::new();
         let mut zero_awards = Vec::new();
         let mut changed: Vec<u32> = Vec::new();
 
@@ -235,7 +221,6 @@ impl FleetScalingReport {
         let mut apps_rearbitrated_scheduled = 0u64;
         let mut active_app_quanta = 0u64;
         let mut tolerance_zero_identical = true;
-        let mut horizon_zero_identical = true;
 
         let bits_equal = |left: &[f64], right: &[f64]| {
             left.len() == right.len()
@@ -286,13 +271,8 @@ impl FleetScalingReport {
             apps_skipped_scheduled += outcome.skipped as u64;
             apps_rearbitrated_scheduled += outcome.rearbitrated as u64;
 
-            // Differential check one: horizon 0 must reproduce the plain
-            // incremental engine bit-for-bit, every quantum.
-            gate.arbitrate(&mut gate_policy, budget_watts, &requests, &mut gate_awards);
-            horizon_zero_identical &= bits_equal(&incremental_awards, &gate_awards);
-
-            // Differential check two: tolerance 0 must reproduce the full
-            // fold bit-for-bit, every quantum, at every fleet size.
+            // Differential check: tolerance 0 must reproduce the full fold
+            // bit-for-bit, every quantum, at every fleet size.
             zero.arbitrate(&mut zero_policy, budget_watts, &requests, &mut zero_awards);
             tolerance_zero_identical &= bits_equal(&full_awards, &zero_awards);
         }
@@ -329,7 +309,6 @@ impl FleetScalingReport {
                 + apps_skipped_scheduled
                 + apps_rearbitrated_scheduled
                 == active_app_quanta,
-            horizon_zero_identical,
         }
     }
 
@@ -339,7 +318,7 @@ impl FleetScalingReport {
             "fleet {:>9}: full {:>12.1} µs/quantum, incremental {:>11.1} µs/quantum \
              ({:.1}x), scheduled {:>11.1} µs/quantum ({:.1}x), \
              slept {} / skipped {} / re-arbitrated {} of {} app-quanta \
-             [reconcile: {}/{}, tolerance-0: {}, horizon-0: {}]",
+             [reconcile: {}/{}, tolerance-0: {}]",
             self.fleet,
             self.us_per_quantum_full,
             self.us_per_quantum_incremental,
@@ -353,7 +332,6 @@ impl FleetScalingReport {
             if self.counters_reconcile { "ok" } else { "FAIL" },
             if self.scheduled_counters_reconcile { "ok" } else { "FAIL" },
             if self.tolerance_zero_identical { "ok" } else { "FAIL" },
-            if self.horizon_zero_identical { "ok" } else { "FAIL" },
         )
     }
 }
@@ -438,7 +416,6 @@ mod tests {
         assert!(report.apps_skipped > 0, "steady apps skip: {report:?}");
         assert!(report.apps_rearbitrated > 0, "churn re-enters: {report:?}");
         assert!(report.scheduled_counters_reconcile, "{report:?}");
-        assert!(report.horizon_zero_identical, "{report:?}");
         assert!(report.apps_slept > 0, "steady apps sleep: {report:?}");
         assert!(
             report.apps_slept + report.apps_skipped_scheduled >= report.apps_skipped,
@@ -463,7 +440,6 @@ mod tests {
             first.tolerance_zero_identical,
             second.tolerance_zero_identical
         );
-        assert_eq!(first.horizon_zero_identical, second.horizon_zero_identical);
     }
 
     #[test]

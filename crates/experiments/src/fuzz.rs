@@ -196,7 +196,7 @@ fn check_step(log: &mut ViolationLog, stepped: &Stepped<'_>) {
                     .iter()
                     .map(|rack| rack.coordinator().awards().iter().sum())
                     .collect(),
-                headroom: 0.95,
+                headroom: coordinator::Coordinator::HEADROOM,
             };
             log.extend(check_hierarchy_conservation(&totals));
             let rack_total: f64 = totals.rack_envelopes.iter().sum();

@@ -15,7 +15,9 @@ use serde::{Deserialize, Serialize};
 /// observed heart rate to the target.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PiController {
-    /// Proportional gain.
+    /// Proportional gain. Has no effect on the output for any finite gain:
+    /// the proportional term is folded into the feed-forward (see
+    /// [`PiController::next_speedup`]).
     pub kp: f64,
     /// Integral gain.
     pub ki: f64,
@@ -111,8 +113,9 @@ impl PiController {
         let output = feed_forward + self.kp * error * 0.0 + self.ki * self.integral;
         // (The proportional term is folded into the feed-forward: the error
         // is already the difference between the feed-forward and observed
-        // speedups, so a separate kp term would double-count. kp is kept for
-        // callers who tune the controller differently.)
+        // speedups, so a separate kp term would double-count. The term is
+        // multiplied by zero, so a finite `kp` has no effect on the output;
+        // it stays in the constructor's signature only.)
         let clamped = output.clamp(self.min_output, self.max_output);
         if clamped != output {
             // Anti-windup: stop integrating when saturated.

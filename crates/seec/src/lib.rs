@@ -78,5 +78,4 @@ pub mod uncoordinated;
 pub use error::SeecError;
 pub use model::{ActionModel, ExplorationPolicy};
 pub use runtime::{Decision, SeecRuntime, SeecRuntimeBuilder};
-pub use schedule::IdSchedule;
 pub use uncoordinated::UncoordinatedRuntime;

@@ -433,8 +433,8 @@ impl SeecRuntime {
             // unless it breaches the power envelope. A stalled application
             // must not sit above its awarded envelope indefinitely, so the
             // capped path falls to the cheapest configuration (the floor
-            // every envelope degrades to). Never taken by the uncapped
-            // path (`max_powerup = ∞`), whose behaviour is unchanged.
+            // every envelope degrades to). Never taken without an envelope
+            // (`max_powerup = ∞`).
             let mut applied = self.model.believed(self.current_id);
             if applied.powerup > max_powerup {
                 let (cheapest, _) = self.model.cheapest();
@@ -536,12 +536,10 @@ impl SeecRuntime {
         let (lower, lower_speedup) = self
             .model
             .bracket_below(upper_speedup.min(required), max_powerup);
-        let schedule = if upper == lower {
-            IdSchedule::steady(upper, upper_speedup)
-        } else {
-            IdSchedule::bracketing(upper, upper_speedup, lower, lower_speedup, required)
-        };
-        let next = schedule.id_for_period(&mut self.schedule_accumulator);
+        // `bracketing` collapses to a steady schedule when `upper == lower`
+        // (equal speedups).
+        let next = IdSchedule::bracketing(upper, upper_speedup, lower, lower_speedup, required)
+            .id_for_period(&mut self.schedule_accumulator);
 
         // ---- Act -------------------------------------------------------
         let applied = self.act(now, next)?;

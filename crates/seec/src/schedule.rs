@@ -13,25 +13,22 @@ use actuation::ConfigId;
 /// A two-configuration, time-division schedule for one decision period,
 /// over interned configuration ids.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IdSchedule {
+pub(crate) struct IdSchedule {
     /// Configuration used for `upper_fraction` of the period.
     pub upper: ConfigId,
     /// Configuration used for the remaining time.
     pub lower: ConfigId,
     /// Fraction of the period spent in `upper`, in `[0, 1]`.
     pub upper_fraction: f64,
-    /// Average speedup the schedule is expected to deliver.
-    pub expected_speedup: f64,
 }
 
 impl IdSchedule {
     /// A schedule that stays in a single configuration for the whole period.
-    pub fn steady(id: ConfigId, expected_speedup: f64) -> Self {
+    pub fn steady(id: ConfigId) -> Self {
         IdSchedule {
             upper: id,
             lower: id,
             upper_fraction: 1.0,
-            expected_speedup,
         }
     }
 
@@ -52,15 +49,13 @@ impl IdSchedule {
         required_speedup: f64,
     ) -> Self {
         if upper_speedup <= lower_speedup {
-            return IdSchedule::steady(upper, upper_speedup);
+            return IdSchedule::steady(upper);
         }
-        let fraction = ((required_speedup - lower_speedup) / (upper_speedup - lower_speedup))
-            .clamp(0.0, 1.0);
         IdSchedule {
             upper,
             lower,
-            upper_fraction: fraction,
-            expected_speedup: fraction * upper_speedup + (1.0 - fraction) * lower_speedup,
+            upper_fraction: ((required_speedup - lower_speedup) / (upper_speedup - lower_speedup))
+                .clamp(0.0, 1.0),
         }
     }
 
@@ -86,9 +81,14 @@ mod tests {
     const UPPER: ConfigId = ConfigId(1);
     const LOWER: ConfigId = ConfigId(0);
 
+    /// The average speedup `s` delivers between the bracketing speedups.
+    fn expected(s: &IdSchedule, upper_speedup: f64, lower_speedup: f64) -> f64 {
+        s.upper_fraction * upper_speedup + (1.0 - s.upper_fraction) * lower_speedup
+    }
+
     #[test]
     fn steady_schedule_never_splits() {
-        let s = IdSchedule::steady(UPPER, 2.0);
+        let s = IdSchedule::steady(UPPER);
         assert_eq!(s.upper, s.lower);
         assert_eq!(s.upper_fraction, 1.0);
         let mut acc = 0.0;
@@ -101,23 +101,23 @@ mod tests {
     fn bracketing_interpolates_the_required_speedup() {
         let s = IdSchedule::bracketing(UPPER, 4.0, LOWER, 1.0, 2.5);
         assert!((s.upper_fraction - 0.5).abs() < 1e-12);
-        assert!((s.expected_speedup - 2.5).abs() < 1e-12);
+        assert!((expected(&s, 4.0, 1.0) - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn bracketing_saturates_outside_the_range() {
         let high = IdSchedule::bracketing(UPPER, 4.0, LOWER, 1.0, 9.0);
         assert_eq!(high.upper_fraction, 1.0);
-        assert!((high.expected_speedup - 4.0).abs() < 1e-12);
+        assert!((expected(&high, 4.0, 1.0) - 4.0).abs() < 1e-12);
         let low = IdSchedule::bracketing(UPPER, 4.0, LOWER, 1.0, 0.5);
         assert_eq!(low.upper_fraction, 0.0);
-        assert!((low.expected_speedup - 1.0).abs() < 1e-12);
+        assert!((expected(&low, 4.0, 1.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn degenerate_bracket_collapses_to_steady() {
         let s = IdSchedule::bracketing(UPPER, 2.0, LOWER, 2.0, 3.0);
-        assert_eq!(s, IdSchedule::steady(UPPER, 2.0));
+        assert_eq!(s, IdSchedule::steady(UPPER));
     }
 
     #[test]
