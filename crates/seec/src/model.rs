@@ -295,7 +295,12 @@ impl ActionModel {
     /// probability epsilon — or whenever the model has diverged — an
     /// admissible neighbour of `current` is explored instead. Ties break
     /// toward the smaller id, like the first-match scan this replaces.
-    pub fn choose(&mut self, required_speedup: f64, current: ConfigId, max_powerup: f64) -> ConfigId {
+    pub fn choose(
+        &mut self,
+        required_speedup: f64,
+        current: ConfigId,
+        max_powerup: f64,
+    ) -> ConfigId {
         // Admissible prefix of the power-sorted index (the whole index for
         // an infinite cap), floored at one so the cheapest is always a
         // candidate.
@@ -615,7 +620,10 @@ mod tests {
             for &required in requirements {
                 let (id, speedup) = model.bracket_below(required, cap);
                 let (ref_id, ref_speedup) = reference::bracket_below(model, required, cap);
-                assert_eq!(id, ref_id, "bracket mismatch at step {step} req {required} cap {cap}");
+                assert_eq!(
+                    id, ref_id,
+                    "bracket mismatch at step {step} req {required} cap {cap}"
+                );
                 assert_eq!(speedup.to_bits(), ref_speedup.to_bits());
                 assert_eq!(
                     model.choose(required, nominal, cap),
@@ -657,11 +665,20 @@ mod tests {
         let current = model.table().nominal();
         // Needs 1.4x: [1,1] (3.0x at 3.5 power) and [0,1] (1.5x at 1.4 power)
         // both meet it; the cheaper one is [0,1].
-        assert_eq!(model.choose(1.4, current, f64::INFINITY), id(&model, &[0, 1]));
+        assert_eq!(
+            model.choose(1.4, current, f64::INFINITY),
+            id(&model, &[0, 1])
+        );
         // Needs 2.5x: only [1,1] meets it.
-        assert_eq!(model.choose(2.5, current, f64::INFINITY), id(&model, &[1, 1]));
+        assert_eq!(
+            model.choose(2.5, current, f64::INFINITY),
+            id(&model, &[1, 1])
+        );
         // Nothing meets 10x: fall back to the fastest.
-        assert_eq!(model.choose(10.0, current, f64::INFINITY), id(&model, &[1, 1]));
+        assert_eq!(
+            model.choose(10.0, current, f64::INFINITY),
+            id(&model, &[1, 1])
+        );
     }
 
     #[test]
@@ -819,7 +836,11 @@ mod tests {
         let requirements: Vec<f64> = (0..=12).map(|i| i as f64 * 0.3).collect();
         for step in 0..60 {
             let id = ConfigId((step * 5 % model.table().len()) as u32);
-            model.observe(id, 0.3 + (step % 11) as f64 * 0.35, 0.3 + (step % 7) as f64 * 0.5);
+            model.observe(
+                id,
+                0.3 + (step % 11) as f64 * 0.35,
+                0.3 + (step % 7) as f64 * 0.5,
+            );
             model.age_beliefs();
             assert_matches_reference(&mut model, step, &requirements);
         }

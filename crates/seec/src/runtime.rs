@@ -521,7 +521,8 @@ impl SeecRuntime {
                 _ => self.model.believed(self.current_id).powerup,
             };
             if speedup_obs.is_finite() && speedup_obs > 0.0 {
-                self.model.observe(self.current_id, speedup_obs, powerup_obs);
+                self.model
+                    .observe(self.current_id, speedup_obs, powerup_obs);
             }
         }
 
@@ -774,7 +775,10 @@ mod tests {
             .actuator(Box::new(TableActuator::new(dvfs_spec())))
             .build()
             .unwrap();
-        assert!(matches!(runtime.decide(0.0, f64::INFINITY), Err(SeecError::NoGoal)));
+        assert!(matches!(
+            runtime.decide(0.0, f64::INFINITY),
+            Err(SeecError::NoGoal)
+        ));
     }
 
     #[test]
@@ -992,7 +996,11 @@ mod tests {
         // Manually park the app in the most expensive configuration, then
         // cut its envelope while it emits no beats: the capped decide must
         // not leave it over-envelope just because feedback is missing.
-        let most_expensive = runtime.model().table().id_of(&Configuration::new(vec![2, 2])).unwrap();
+        let most_expensive = runtime
+            .model()
+            .table()
+            .id_of(&Configuration::new(vec![2, 2]))
+            .unwrap();
         runtime.apply_id(most_expensive).unwrap();
         let decision = runtime.decide(1.0, 0.5).unwrap();
         assert_eq!(
@@ -1004,7 +1012,10 @@ mod tests {
         // The uncapped stall path still keeps the current configuration.
         runtime.apply_id(most_expensive).unwrap();
         let _ = runtime.decide(2.0, f64::INFINITY).unwrap();
-        assert_eq!(runtime.current_configuration(), &Configuration::new(vec![2, 2]));
+        assert_eq!(
+            runtime.current_configuration(),
+            &Configuration::new(vec![2, 2])
+        );
     }
 
     #[test]
