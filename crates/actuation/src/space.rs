@@ -1,3 +1,5 @@
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::ActuationError;
@@ -197,9 +199,11 @@ impl ConfigurationSpace {
         }
     }
 
-    /// Builds the interned-configuration arena for this space: dense
-    /// [`ConfigId`] handles, precomputed declared effects, and
-    /// speedup-/power-sorted indices. See [`ConfigTable`].
+    /// Builds a fresh, unshared interned-configuration arena for this space:
+    /// dense [`ConfigId`] handles, precomputed declared effects, and
+    /// speedup-/power-sorted indices. See [`ConfigTable`]. Runtimes take
+    /// their table from [`ConfigTable::shared`], which calls this only for
+    /// an actuator set it does not already hold.
     pub fn table(&self) -> ConfigTable {
         ConfigTable::new(self)
     }
@@ -289,6 +293,10 @@ impl std::fmt::Display for ConfigId {
 /// precomputes everything the decision loop needs per id: the declared joint
 /// effect and indices sorted by declared speedup and declared power. Setting
 /// decode/encode is O(arity) integer arithmetic; no configuration is stored.
+///
+/// A table is immutable once built and depends on nothing but the actuator
+/// specs, so every runtime over equal specs can read the same one:
+/// [`ConfigTable::shared`] hands out one `Arc` per distinct actuator set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfigTable {
     /// Settings per actuator, in configuration order.
@@ -372,6 +380,24 @@ impl ConfigTable {
         }
     }
 
+    /// The process-wide shared table for the actuator set `specs`, in
+    /// configuration order.
+    ///
+    /// Tables are content-addressed: every call with specs equal to those
+    /// of a table still held somewhere returns that same table, so a fleet
+    /// of applications over one actuator set holds one copy of its
+    /// declared effects and sorted indices. Equal specs give bit-identical
+    /// tables (multipliers and exponents are validated finite and
+    /// positive), so sharing changes no result. The specs are compared by
+    /// reference and cloned only when a new table is built.
+    ///
+    /// The cache holds its tables weakly: a table is freed when the last
+    /// runtime using it is, and dead entries are pruned whenever a new
+    /// table is inserted.
+    pub fn shared(specs: &[&ActuatorSpec]) -> Arc<ConfigTable> {
+        SHARED_TABLES.get_or_build(specs)
+    }
+
     /// Number of interned configurations (the space's cardinality).
     pub fn len(&self) -> usize {
         self.effects.len()
@@ -398,21 +424,20 @@ impl ConfigTable {
         (id.index() / self.strides[pos]) % self.radices[pos]
     }
 
-    /// Decodes `id` into `out` (cleared and refilled), without allocating
-    /// when `out` already has capacity.
-    pub fn write_settings(&self, id: ConfigId, out: &mut Vec<SettingIndex>) {
-        out.clear();
-        for pos in 0..self.radices.len() {
-            out.push(self.setting(id, pos));
-        }
+    /// Overwrites `out` with the settings of `id`, reusing its allocation:
+    /// no allocation once `out` has held a configuration of this arity.
+    pub fn write_config(&self, id: ConfigId, out: &mut Configuration) {
+        out.0.clear();
+        out.0
+            .extend((0..self.radices.len()).map(|pos| self.setting(id, pos)));
     }
 
     /// Materialises `id` as an owned [`Configuration`] (boundary use only;
     /// the hot path passes ids).
     pub fn config_of(&self, id: ConfigId) -> Configuration {
-        let mut settings = Vec::with_capacity(self.radices.len());
-        self.write_settings(id, &mut settings);
-        Configuration::new(settings)
+        let mut config = Configuration::new(Vec::with_capacity(self.radices.len()));
+        self.write_config(id, &mut config);
+        config
     }
 
     /// Interns `config`, returning its id — or `None` if the configuration's
@@ -515,6 +540,61 @@ fn encode(settings: &[usize], strides: &[usize]) -> usize {
         .zip(strides)
         .map(|(&s, &stride)| s * stride)
         .sum()
+}
+
+/// The process-wide table cache behind [`ConfigTable::shared`].
+static SHARED_TABLES: TableInterner = TableInterner::new();
+
+/// A content-addressed cache of weakly held tables, keyed on full
+/// actuator-spec equality. Locked because runtimes are built on pool
+/// workers; a miss builds under the lock, so concurrent builders of one
+/// actuator set still end up sharing a single table.
+struct TableInterner {
+    entries: Mutex<Vec<InternedTable>>,
+}
+
+/// One cached table and the specs it was built from.
+struct InternedTable {
+    specs: Vec<ActuatorSpec>,
+    table: Weak<ConfigTable>,
+}
+
+impl TableInterner {
+    const fn new() -> Self {
+        TableInterner {
+            entries: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn get_or_build(&self, specs: &[&ActuatorSpec]) -> Arc<ConfigTable> {
+        // Entries are only pushed after a successful build, so a panic while
+        // building leaves the cache consistent and the poison can be ignored.
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let live = entries
+            .iter()
+            .filter(|entry| entry.specs.iter().eq(specs.iter().copied()))
+            .find_map(|entry| entry.table.upgrade());
+        if let Some(table) = live {
+            return table;
+        }
+        let space = ConfigurationSpace::new(specs.iter().map(|&spec| spec.clone()).collect());
+        let table = Arc::new(space.table());
+        entries.retain(|entry| entry.table.strong_count() > 0);
+        entries.push(InternedTable {
+            specs: space.specs,
+            table: Arc::downgrade(&table),
+        });
+        table
+    }
+
+    /// Number of cached entries, dead ones included until the next insert.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
 }
 
 #[cfg(test)]
@@ -726,6 +806,109 @@ mod tests {
         assert_eq!(table.len(), 0);
         assert_eq!(table.neighbor_count(), 0);
         assert_eq!(table.id_of(&Configuration::new(vec![])), None);
+    }
+
+    /// The two specs of [`space`], by reference, as [`ConfigTable::shared`]
+    /// takes them.
+    fn spec_refs(space: &ConfigurationSpace) -> Vec<&ActuatorSpec> {
+        space.specs().iter().collect()
+    }
+
+    /// [`space`] with the `cores` actuator's top setting replaced.
+    fn space_with_top_core(top: SettingSpec) -> ConfigurationSpace {
+        let mut specs = space().specs;
+        let cores = &specs[1];
+        let mut settings = cores.settings().to_vec();
+        *settings.last_mut().unwrap() = top;
+        specs[1] = ActuatorSpec::builder(cores.name())
+            .settings(settings)
+            .nominal(cores.nominal())
+            .build()
+            .unwrap();
+        ConfigurationSpace::new(specs)
+    }
+
+    #[test]
+    fn equal_specs_share_one_table() {
+        // Two independently built (equal, not identical) spec sets.
+        let (a, b) = (space(), space());
+        let first = ConfigTable::shared(&spec_refs(&a));
+        let second = ConfigTable::shared(&spec_refs(&b));
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(*first, a.table());
+    }
+
+    #[test]
+    fn specs_differing_in_one_effect_or_setting_get_distinct_tables() {
+        let base = space();
+        let base_table = ConfigTable::shared(&spec_refs(&base));
+        let one_multiplier = space_with_top_core(
+            SettingSpec::new("4")
+                .effect(Axis::Performance, 3.0)
+                .effect(Axis::Power, 4.0 + f64::EPSILON * 4.0),
+        );
+        let one_label = space_with_top_core(
+            SettingSpec::new("four")
+                .effect(Axis::Performance, 3.0)
+                .effect(Axis::Power, 4.0),
+        );
+        for variant in [one_multiplier, one_label] {
+            assert_ne!(variant, base);
+            let table = ConfigTable::shared(&spec_refs(&variant));
+            assert!(!Arc::ptr_eq(&table, &base_table));
+            assert_eq!(*table, variant.table());
+        }
+        // Dropping a spec (one setting fewer in the joint set) also misses.
+        let shorter = ConfigTable::shared(&spec_refs(&base)[..1]);
+        assert!(!Arc::ptr_eq(&shorter, &base_table));
+        assert_eq!(shorter.len(), 2);
+    }
+
+    #[test]
+    fn interner_stays_bounded_by_the_live_spec_sets() {
+        // A private interner, so tables other tests hold do not count.
+        let interner = TableInterner::new();
+        let sets: Vec<ConfigurationSpace> = (0..4)
+            .map(|i| space_with_top_core(SettingSpec::new(format!("variant {i}"))))
+            .collect();
+        let mut held: Vec<Arc<ConfigTable>> = sets
+            .iter()
+            .map(|set| interner.get_or_build(&spec_refs(set)))
+            .collect();
+        assert_eq!(interner.len(), 4);
+        // A hit adds nothing.
+        let again = interner.get_or_build(&spec_refs(&sets[2]));
+        assert!(Arc::ptr_eq(&again, &held[2]));
+        assert_eq!(interner.len(), 4);
+        drop(again);
+        // Every holder dropped: the next insert prunes every dead entry.
+        held.clear();
+        let fresh = interner.get_or_build(&spec_refs(&space()));
+        assert_eq!(interner.len(), 1);
+        // Rebuilding a set whose table died yields an equal new table, and
+        // the entry count never exceeds the live distinct sets.
+        for (live, set) in sets.iter().enumerate() {
+            held.push(interner.get_or_build(&spec_refs(set)));
+            assert_eq!(*held[live], set.table());
+            assert!(interner.len() <= held.len() + 1, "after {live} rebuilds");
+        }
+        drop(fresh);
+        held.truncate(1);
+        let _ = interner.get_or_build(&spec_refs(&sets[3]));
+        assert_eq!(interner.len(), 2, "only sets[0] and sets[3] are live");
+    }
+
+    #[test]
+    fn write_config_refills_in_place() {
+        let table = space().table();
+        let mut config = table.config_of(table.nominal());
+        let capacity = config.settings().as_ptr();
+        for index in 0..table.len() {
+            let id = ConfigId(index as u32);
+            table.write_config(id, &mut config);
+            assert_eq!(config, table.config_of(id));
+        }
+        assert_eq!(config.settings().as_ptr(), capacity, "no reallocation");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property tests: configuration interning must round-trip for arbitrary
 //! spaces — `ConfigId` → settings → the same `ConfigId` — and the arena's
 //! precomputed effects and neighbour enumeration must agree exactly with
-//! the unmemoized `ConfigurationSpace` queries they replace.
+//! the unmemoized `ConfigurationSpace` queries they replace. The shared
+//! table a runtime receives must equal a freshly built one.
 
 use actuation::{
-    ActuatorSpec, Axis, ConfigId, Configuration, ConfigurationSpace, SettingSpec,
+    ActuatorSpec, Axis, ConfigId, ConfigTable, Configuration, ConfigurationSpace, SettingSpec,
 };
 use proptest::prelude::*;
 
@@ -44,6 +45,11 @@ proptest! {
         prop_assert_eq!(table.len(), space.cardinality());
         prop_assert_eq!(table.arity(), space.arity());
         prop_assert_eq!(table.config_of(table.nominal()), space.nominal());
+
+        // The process-wide shared table for these specs is the table a
+        // fresh build produces, field for field.
+        let specs: Vec<&ActuatorSpec> = space.specs().iter().collect();
+        prop_assert_eq!(&*ConfigTable::shared(&specs), &table);
 
         for (index, config) in space.iter().enumerate() {
             let id = ConfigId(index as u32);

@@ -676,6 +676,26 @@ mod tests {
     }
 
     #[test]
+    fn runtimes_over_one_server_share_one_config_table() {
+        let registry = heartbeats::HeartbeatRegistry::new("app");
+        let build = |server: &XeonServer| {
+            SeecRuntime::builder(registry.monitor())
+                .actuators(xeon_actuators(server))
+                .target_heart_rate(1.0)
+                .build()
+                .expect("valid runtime")
+        };
+        let server = XeonServer::dell_r410();
+        let (a, b) = (build(&server), build(&server));
+        assert!(std::ptr::eq(a.model().table(), b.model().table()));
+        assert_eq!(a.model().table().len(), 8 * 7 * 10);
+        // The calibrated server declares convex power priors: other specs,
+        // so another table.
+        let calibrated = build(&XeonServer::dell_r410_calibrated());
+        assert!(!std::ptr::eq(a.model().table(), calibrated.model().table()));
+    }
+
+    #[test]
     fn map_configuration_reaches_the_fastest_state() {
         let server = XeonServer::dell_r410();
         let fastest = Configuration::new(vec![7, 6, 9]);

@@ -1,10 +1,10 @@
 //! Fleet-scale incremental arbitration: the `fig5 --fleet N` arm.
 //!
 //! The coordinated-SEEC figure runs full [`coordinator::Coordinator`] stacks
-//! — heartbeat windows, SEEC runtimes, a 560-configuration action table per
-//! application — which is the right fidelity at hundreds of apps and the
-//! wrong tool at a million. This harness measures the piece that actually
-//! has to scale: the arbitration fold itself. It drives a
+//! — heartbeat windows, SEEC runtimes, per-application beliefs over a shared
+//! 560-configuration action table — which is the right fidelity at hundreds
+//! of apps and the wrong tool at a million. This harness measures the piece
+//! that actually has to scale: the arbitration fold itself. It drives a
 //! [`coordinator::IncrementalArbiter`] directly over synthetic
 //! [`AppRequest`] arrays with realistic churn (a small fraction of requests
 //! move per quantum, plus arrivals and departures), and reports:
@@ -116,6 +116,9 @@ pub struct FleetScalingReport {
     /// apps_rearbitrated_scheduled == active_app_quanta` — the scheduled
     /// arm's four-way ledger identity.
     pub scheduled_counters_reconcile: bool,
+    /// Cores available to the measuring process: the µs/quantum figures
+    /// are single-threaded, but comparable only between like hosts.
+    pub host_cores: usize,
 }
 
 /// Deterministic splitmix64 stream: the only randomness in the harness, so
@@ -309,6 +312,7 @@ impl FleetScalingReport {
                 + apps_skipped_scheduled
                 + apps_rearbitrated_scheduled
                 == active_app_quanta,
+            host_cores: std::thread::available_parallelism().map_or(1, |cores| cores.get()),
         }
     }
 

@@ -11,8 +11,11 @@
 //! ## Representation
 //!
 //! Configurations are interned into the [`ConfigTable`] arena and addressed
-//! by copyable [`ConfigId`] handles. Beliefs live in a dense `Vec` indexed
-//! by id — no hashing, no per-lookup allocation — and two sorted indices
+//! by copyable [`ConfigId`] handles. The table is the immutable, declared
+//! half of the model: every model over equal actuator specs reads one
+//! shared table ([`ConfigTable::shared`]). What belongs to each application
+//! is its beliefs. They live in a dense `Vec` indexed by id — no hashing, no
+//! per-lookup allocation — and two sorted indices
 //! (by believed speedup and by believed power) are maintained incrementally
 //! as observations arrive, so the selection queries of the decision loop
 //! ([`ActionModel::choose`], [`ActionModel::bracket_below`],
@@ -24,6 +27,8 @@
 //! configuration order (the pre-arena implementation): every tie is broken
 //! toward the smaller id, which is exactly what a lexicographic scan with
 //! strict comparisons produced.
+
+use std::sync::Arc;
 
 use actuation::{ConfigId, ConfigTable};
 use rand::rngs::StdRng;
@@ -67,7 +72,9 @@ impl Default for ExplorationPolicy {
 /// The runtime's model of every configuration interned in a [`ConfigTable`].
 #[derive(Debug, Clone)]
 pub struct ActionModel {
-    table: ConfigTable,
+    /// Declared effects and sorted indices, shared with every other model
+    /// over the same actuator specs.
+    table: Arc<ConfigTable>,
     beliefs: Vec<BelievedEffect>,
     /// Ids sorted ascending by (believed speedup, id).
     by_speedup: Vec<ConfigId>,
@@ -91,8 +98,9 @@ pub struct ActionModel {
 }
 
 impl ActionModel {
-    /// Creates a model over `table` seeded from the declared effects.
-    pub fn new(table: ConfigTable, seed: u64) -> Self {
+    /// Creates a model over `table` seeded from the declared effects. The
+    /// table is only read, so it can be the one other models share.
+    pub fn new(table: Arc<ConfigTable>, seed: u64) -> Self {
         let beliefs: Vec<BelievedEffect> = (0..table.len())
             .map(|i| {
                 let declared = table.declared_effect(ConfigId(i as u32));
@@ -498,7 +506,9 @@ mod tests {
     }
 
     fn model(seed: u64) -> ActionModel {
-        ActionModel::new(space().table(), seed)
+        let space = space();
+        let specs: Vec<&ActuatorSpec> = space.specs().iter().collect();
+        ActionModel::new(ConfigTable::shared(&specs), seed)
     }
 
     /// The interned id of the configuration with `settings`.

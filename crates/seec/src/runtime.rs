@@ -1,6 +1,6 @@
 //! The SEEC runtime: the full observe–decide–act loop.
 
-use actuation::{Actuator, ActuatorSpec, ConfigId, Configuration, ConfigurationSpace};
+use actuation::{Actuator, ActuatorSpec, ConfigId, ConfigTable, Configuration};
 use heartbeats::{HeartbeatMonitor, MonitorObservation};
 
 use crate::control::{KalmanEstimator, PiController};
@@ -169,8 +169,10 @@ impl SeecRuntimeBuilder {
                 )));
             }
         }
-        let specs: Vec<ActuatorSpec> = self.actuators.iter().map(|a| a.spec().clone()).collect();
-        let table = ConfigurationSpace::new(specs).table();
+        // The declared half is shared with every runtime over equal
+        // actuator specs; only the beliefs built below are this app's own.
+        let specs: Vec<&ActuatorSpec> = self.actuators.iter().map(|a| a.spec()).collect();
+        let table = ConfigTable::shared(&specs);
         let current_id = table.nominal();
         let current = table.config_of(current_id);
         let mut model = ActionModel::new(table, self.seed);
@@ -250,7 +252,8 @@ pub struct SeecRuntime {
     power_estimator: KalmanEstimator,
     target_override: Option<f64>,
     /// The applied configuration, materialised for [`Self::current_configuration`];
-    /// rebuilt from the table by `apply_id` whenever `current_id` changes.
+    /// refilled in place from the table by `apply_id` whenever `current_id`
+    /// changes.
     current: Configuration,
     /// Interned handle of `current` — what the hot path actually passes around.
     current_id: ConfigId,
@@ -527,10 +530,10 @@ impl SeecRuntime {
         }
 
         // ---- Decide: classical control + model-based selection --------
-        // Selection and scheduling run entirely on interned ids; the only
-        // allocation on this path is `apply_id` rebuilding `current` when
-        // the configuration changes. Under a finite power cap both ends of
-        // the schedule come from the admissible prefix of the power index.
+        // Selection and scheduling run entirely on interned ids and allocate
+        // nothing; `apply_id` refills `current` in place when the
+        // configuration changes. Under a finite power cap both ends of the
+        // schedule come from the admissible prefix of the power index.
         let required = self.controller.next_speedup(target, observed, base_rate);
         let upper = self.model.choose(required, self.current_id, max_powerup);
         let upper_speedup = self.model.believed(upper).speedup;
@@ -649,7 +652,7 @@ impl SeecRuntime {
             }
         }
         self.current_id = id;
-        self.current = self.model.table().config_of(id);
+        self.model.table().write_config(id, &mut self.current);
         Ok(())
     }
 }
@@ -1057,6 +1060,72 @@ mod tests {
     fn non_positive_belief_halflife_panics() {
         let registry = HeartbeatRegistry::new("app");
         let _ = SeecRuntime::builder(registry.monitor()).belief_halflife(0.0);
+    }
+
+    #[test]
+    fn runtimes_over_equal_actuators_share_one_table() {
+        let registry = HeartbeatRegistry::new("app");
+        let build = || {
+            SeecRuntime::builder(registry.monitor())
+                .actuator(Box::new(TableActuator::new(dvfs_spec())))
+                .actuator(Box::new(TableActuator::new(cores_spec())))
+                .target_heart_rate(5.0)
+                .build()
+                .unwrap()
+        };
+        let (a, b) = (build(), build());
+        assert!(std::ptr::eq(a.model().table(), b.model().table()));
+    }
+
+    #[test]
+    fn current_configuration_tracks_the_applied_id_on_every_decision() {
+        let registry = HeartbeatRegistry::new("app");
+        registry
+            .issuer()
+            .set_goal(Goal::Performance(PerformanceGoal::heart_rate(25.0)));
+        let mut runtime = SeecRuntime::builder(registry.monitor())
+            .actuator(Box::new(TableActuator::new(dvfs_spec())))
+            .actuator(Box::new(TableActuator::new(cores_spec())))
+            .exploration(ExplorationPolicy {
+                epsilon: 0.3,
+                ..ExplorationPolicy::default()
+            })
+            .seed(2012)
+            .build()
+            .unwrap();
+        let issuer = registry.issuer();
+        let monitor = registry.monitor();
+        let mut now = 0.0;
+        let mut changes = 0;
+        let mut previous = runtime.current_config_id();
+        for period in 0..400 {
+            let effect = declared_effect(&runtime);
+            // The platform falls short of the declared speedup in a
+            // period-dependent way, so the model keeps relearning.
+            let rate = 10.0 * effect.performance * (0.7 + 0.1 * (period % 4) as f64);
+            for _ in 0..6 {
+                now += 1.0 / rate;
+                issuer.heartbeat(now);
+            }
+            monitor.record_power_sample(now, 10.0 * effect.power);
+            let cap = if period % 50 < 25 { f64::INFINITY } else { 2.1 };
+            let decision = runtime.decide(now, cap).unwrap();
+            assert_eq!(decision.configuration, runtime.current_config_id());
+            assert_eq!(
+                runtime.current_configuration(),
+                &runtime
+                    .model()
+                    .table()
+                    .config_of(runtime.current_config_id()),
+                "period {period}"
+            );
+            changes += usize::from(runtime.current_config_id() != previous);
+            previous = runtime.current_config_id();
+        }
+        assert!(
+            changes > 20,
+            "the run must change configuration often, got {changes}"
+        );
     }
 
     #[test]
